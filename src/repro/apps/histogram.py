@@ -93,9 +93,9 @@ def run_histogram(
     """
     rt = RuntimeSystem(machine, costs, seed=seed)
     W = machine.total_workers
-    qd = rt.pdes_share(QDCounter())
+    qd = QDCounter()
     # per-PE received-update counts
-    table = rt.pdes_share(np.zeros(W, dtype=np.int64))
+    table = np.zeros(W, dtype=np.int64)
     if skew > 0:
         weights = (np.arange(1, W + 1, dtype=np.float64)) ** -skew
         weights /= weights.sum()

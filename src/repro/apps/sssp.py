@@ -104,10 +104,7 @@ def run_sssp(
     n = graph.num_vertices
     rt = RuntimeSystem(machine, costs, seed=seed)
     W = machine.total_workers
-    chares = rt.pdes_share(
-        [_SsspChare(w, (n - w + W - 1) // W) for w in range(W)],
-        merge="worker",
-    )
+    chares = [_SsspChare(w, (n - w + W - 1) // W) for w in range(W)]
 
     def accept(ctx, chare: _SsspChare, vertex: int, d: float) -> None:
         """Accept-or-waste one tentative distance at its owner."""

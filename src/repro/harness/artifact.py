@@ -161,34 +161,6 @@ def build_metrics_payload(
 _VOLATILE_CELL_KEYS = ("wall_s", "cache_hits")
 
 
-def _strip_pdes(run: dict) -> None:
-    """Drop every PDES execution-strategy trace from one run snapshot.
-
-    A run executed under ``--sim-parallel N`` carries a ``pdes`` block,
-    ``pdes.*`` registry metrics and (with a timeline) ``pdes.*`` series
-    — all describing *how* the event loop executed, never *what* it
-    simulated. Stripping them is what makes a partitioned artifact
-    canonical-byte-identical to the sequential one.
-    """
-    run.pop("pdes", None)
-    metrics = run.get("metrics")
-    if isinstance(metrics, dict) and isinstance(metrics.get("metrics"), dict):
-        inner = metrics["metrics"]
-        for name in [n for n in inner if n.startswith("pdes.")]:
-            del inner[name]
-    tl = run.get("timeline")
-    if isinstance(tl, dict):
-        series = tl.get("series")
-        if isinstance(series, dict):
-            for name in [n for n in series if n.startswith("pdes.")]:
-                del series[name]
-        final = tl.get("final")
-        if isinstance(final, dict) and isinstance(final.get("values"), dict):
-            values = final["values"]
-            for name in [n for n in values if n.startswith("pdes.")]:
-                del values[name]
-
-
 def canonical_metrics_bytes(payload: Any) -> bytes:
     """The schedule-independent byte form of a metrics payload.
 
@@ -196,14 +168,12 @@ def canonical_metrics_bytes(payload: Any) -> bytes:
     simulated results but necessarily different execution metadata
     (which worker ran a point, how long it took, whether the cache
     served it). This helper strips exactly that metadata — the
-    ``provenance`` block, the per-cell volatile keys, and the per-run
-    PDES execution-strategy traces (see :func:`_strip_pdes`) — and
+    ``provenance`` block and the per-cell volatile keys — and
     serializes the rest canonically (sorted keys). Two artifacts are
     equivalent iff their canonical bytes are equal; the determinism
-    tests and the CI sweep-smoke/pdes-smoke jobs assert equality
-    between ``--parallel 1`` and ``--parallel N``, between cold and
-    warm-cache, and between ``--sim-parallel 1`` and ``--sim-parallel
-    N`` runs this way.
+    tests and the CI sweep-smoke job assert equality between
+    ``--parallel 1`` and ``--parallel N`` and between cold and
+    warm-cache runs this way.
     """
     clean = json.loads(json.dumps(payload, default=_jsonable))
     if isinstance(clean, dict):
@@ -214,9 +184,6 @@ def canonical_metrics_bytes(payload: Any) -> bytes:
                 if isinstance(cell, dict):
                     for key in _VOLATILE_CELL_KEYS:
                         cell.pop(key, None)
-        for run in clean.get("runs") or ():
-            if isinstance(run, dict):
-                _strip_pdes(run)
     return json.dumps(
         clean, sort_keys=True, separators=(",", ":"), default=_jsonable
     ).encode("utf-8")
@@ -300,7 +267,6 @@ def _check_run(
     _check_flow(prefix, run, errors)
     _check_faults_flow(prefix, run, errors)
     _check_timeline(prefix, run, errors)
-    _check_pdes(prefix, run, errors)
     faults = run.get("faults")
     crash_lossy = bool(
         isinstance(faults, dict) and faults.get("items_lost_to_crash")
@@ -431,68 +397,6 @@ def _check_faults_flow(prefix: str, run: dict, errors: List[str]) -> None:
             )
 
 
-def _check_pdes(prefix: str, run: dict, errors: List[str]) -> None:
-    """Internal-consistency checks on a run's conservative-PDES block.
-
-    A partitioned run must have actually partitioned (>= 2 partitions,
-    no fallback reason, per-partition event counts that close against
-    the coordinator's round accounting); a sequential-mode record must
-    name why it fell back. The ``pdes.*`` registry metrics, when
-    present, must agree with the block — both are read from the same
-    :class:`~repro.sim.parallel.PdesRunInfo` at snapshot time.
-    """
-    pdes = run.get("pdes")
-    if pdes is None:
-        return
-    if not isinstance(pdes, dict):
-        errors.append(f"{prefix}: pdes is not an object")
-        return
-    mode = pdes.get("mode")
-    if mode not in ("partitioned", "sequential"):
-        errors.append(f"{prefix}: pdes.mode {mode!r} not in "
-                      f"('partitioned', 'sequential')")
-    if mode == "partitioned":
-        if not isinstance(pdes.get("partitions"), int) or pdes["partitions"] < 2:
-            errors.append(
-                f"{prefix}: partitioned pdes run with partitions="
-                f"{pdes.get('partitions')!r} (want an int >= 2)"
-            )
-        if pdes.get("fallback") is not None:
-            errors.append(
-                f"{prefix}: partitioned pdes run carries a fallback "
-                f"reason ({pdes.get('fallback')!r})"
-            )
-        if not pdes.get("rounds"):
-            errors.append(f"{prefix}: partitioned pdes run with no rounds")
-        per_part = pdes.get("events_per_partition")
-        if isinstance(per_part, list) and len(per_part) != pdes.get("partitions"):
-            errors.append(
-                f"{prefix}: events_per_partition has {len(per_part)} "
-                f"entries for {pdes.get('partitions')} partitions"
-            )
-    elif mode == "sequential" and not pdes.get("fallback"):
-        errors.append(
-            f"{prefix}: sequential pdes record without a fallback reason"
-        )
-    lookahead = pdes.get("lookahead_ns")
-    if isinstance(lookahead, (int, float)) and lookahead <= 0:
-        errors.append(f"{prefix}: pdes.lookahead_ns must be positive, "
-                      f"got {lookahead}")
-    metrics = run.get("metrics")
-    reg = metrics.get("metrics", {}) if isinstance(metrics, dict) else {}
-    for mname, field in (
-        ("pdes.null_messages", "null_messages"),
-        ("pdes.wire_messages", "wire_messages"),
-        ("pdes.rounds", "rounds"),
-    ):
-        entry = reg.get(mname)
-        if isinstance(entry, dict) and entry.get("value") != pdes.get(field):
-            errors.append(
-                f"{prefix}: registry {mname} ({entry.get('value')}) "
-                f"disagrees with pdes.{field} ({pdes.get(field)})"
-            )
-
-
 #: Schema tag a run's timeline block must carry (see repro.obs.timeline).
 _TIMELINE_SCHEMA = "repro.obs.timeline/1"
 
@@ -586,37 +490,8 @@ def _check_provenance(prov: Any, errors: List[str]) -> None:
     if not isinstance(prov, dict):
         errors.append("'provenance' is not an object")
         return
-    pdes = prov.get("pdes")
-    if pdes is not None:
-        if not isinstance(pdes, dict):
-            errors.append("provenance.pdes is not an object")
-        else:
-            if not isinstance(pdes.get("sim_parallel"), int) or pdes[
-                "sim_parallel"
-            ] < 2:
-                errors.append(
-                    "provenance.pdes.sim_parallel must be an int >= 2, got "
-                    f"{pdes.get('sim_parallel')!r}"
-                )
-            for key in ("runs_partitioned", "runs_sequential"):
-                if not isinstance(pdes.get(key), int):
-                    errors.append(f"provenance.pdes missing {key!r}")
-            reasons = pdes.get("fallback_reasons")
-            if not isinstance(reasons, dict):
-                errors.append("provenance.pdes missing 'fallback_reasons'")
-            elif isinstance(pdes.get("runs_sequential"), int) and sum(
-                v for v in reasons.values() if isinstance(v, int)
-            ) != pdes["runs_sequential"]:
-                errors.append(
-                    "provenance.pdes.fallback_reasons do not account for "
-                    "runs_sequential"
-                )
     points = prov.get("points")
     if not isinstance(points, list):
-        # A run under --sim-parallel with no pool activity records
-        # pdes-only provenance; pool point records are then absent.
-        if points is None and pdes is not None:
-            return
         errors.append("provenance missing 'points' list")
         return
     for i, point in enumerate(points):

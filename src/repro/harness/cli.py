@@ -152,20 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parallel.add_argument(
-        "--sim-parallel",
-        type=int,
-        default=1,
-        metavar="P",
-        help=(
-            "run every simulation's event loop itself in parallel: the "
-            "conservative PDES core shards the simulated machine by "
-            "node across P forked partitions (null-message protocol, "
-            "lookahead = min inter-node wire latency); results and "
-            "metrics artifacts are byte-identical to sequential "
-            "execution modulo the pdes provenance/metrics blocks"
-        ),
-    )
-    parallel.add_argument(
         "--cache-dir",
         type=Path,
         default=None,
@@ -385,7 +371,6 @@ def _run_sweep_cmd(args) -> int:
             journal=journal,
             resume=args.resume,
             drain_signals=True,
-            sim_parallel=args.sim_parallel,
         )
     except SweepInterrupted as exc:
         print(f"sweep interrupted: {exc}", file=sys.stderr)
@@ -430,7 +415,6 @@ def _run_one(
     status_json: Optional[Path] = None,
     retries: int = 0,
     point_timeout_s: Optional[float] = None,
-    sim_parallel: int = 1,
 ) -> None:
     t0 = time.perf_counter()
     data = run_figure(
@@ -438,7 +422,6 @@ def _run_one(
         timeline=timeline, parallel=parallel, cache_dir=cache_dir,
         fresh=fresh, status=status, status_json=status_json,
         retries=retries, point_timeout_s=point_timeout_s,
-        sim_parallel=sim_parallel,
     )
     elapsed = time.perf_counter() - t0
     report = data.render()
@@ -448,8 +431,6 @@ def _run_one(
         suffix += f" with flow control '{flow}'"
     if parallel != 1:
         suffix += f" at --parallel {parallel}"
-    if sim_parallel != 1:
-        suffix += f" at --sim-parallel {sim_parallel}"
     print(f"[{fig_id} regenerated in {elapsed:.1f}s wall{suffix}]")
     if metrics_out is not None:
         print(f"[metrics artifact written to {metrics_out}]")
@@ -479,30 +460,10 @@ def _validate_metrics(path: Optional[Path]) -> int:
         return 1
     runs = payload.get("runs", [])
     verdict = (payload.get("summary") or {}).get("bottleneck")
-    line = (
+    print(
         f"OK: {path} ({payload.get('target')}, {len(runs)} run(s), "
         f"bottleneck: {verdict})"
     )
-    partitioned = sum(
-        1
-        for run in runs
-        if isinstance(run, dict)
-        and isinstance(run.get("pdes"), dict)
-        and run["pdes"].get("mode") == "partitioned"
-    )
-    if partitioned:
-        parts = {
-            run["pdes"].get("partitions")
-            for run in runs
-            if isinstance(run, dict)
-            and isinstance(run.get("pdes"), dict)
-            and run["pdes"].get("mode") == "partitioned"
-        }
-        line += (
-            f" [pdes: {partitioned} partitioned run(s), "
-            f"partitions={sorted(parts)}]"
-        )
-    print(line)
     return 0
 
 
@@ -551,7 +512,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 fig_id, args.profile, args.out, metrics_out, args.faults,
                 args.flow, args.parallel, fig_cache, args.fresh,
                 _timeline_config(args), args.status, args.status_json,
-                args.retries, args.point_timeout, args.sim_parallel,
+                args.retries, args.point_timeout,
             )
         return 0
     if args.target == "validate":
@@ -585,7 +546,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.target, args.profile, args.out, args.metrics_out, args.faults,
         args.flow, args.parallel, fig_cache, args.fresh,
         _timeline_config(args), args.status, args.status_json,
-        args.retries, args.point_timeout, args.sim_parallel,
+        args.retries, args.point_timeout,
     )
     return 0
 

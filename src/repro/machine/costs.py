@@ -143,19 +143,6 @@ class CostModel:
         """One-way latency of the transport between two processes."""
         return self.alpha_intra_ns if same_node else self.alpha_inter_ns
 
-    def min_inter_node_latency_ns(self) -> float:
-        """Smallest possible send-to-arrival delay across distinct nodes.
-
-        This is the conservative-PDES *lookahead*: an event executing at
-        time ``t`` on one node cannot affect another node before
-        ``t + lookahead``, because every cross-node interaction rides the
-        wire (arrival = tx-free watermark + wire latency >= now +
-        alpha_inter). The alpha-beta model makes it a known constant; a
-        hierarchical fabric would return its minimum per-hop latency
-        here instead.
-        """
-        return self.alpha_inter_ns
-
     def tx_occupancy_ns(self, payload_bytes: int) -> float:
         """NIC occupancy to inject one message (serialization term)."""
         return self.nic_msg_ns + payload_bytes * self.beta_ns_per_byte

@@ -35,8 +35,8 @@ class ObsConfig:
     ``enabled`` gates span/histogram attribution; ``timeline``
     additionally attaches a
     :class:`~repro.obs.timeline.TimelineRecorder` flight recorder to
-    every runtime built under this config (``None``, the default, keeps
-    the engine on its sampler-free hot loop).
+    every runtime built under this config (``None``, the default,
+    records no timeline).
     """
 
     enabled: bool = True

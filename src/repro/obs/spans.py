@@ -168,8 +168,8 @@ class NodeShardedStageLatency:
     :class:`repro.tram.stats.NodeShardedLatency`, and for the same
     reason: histogram ``total`` floats are order-sensitive accumulators,
     so records are kept node-local (selected by ``engine.current_owner``)
-    and folded in fixed node order when read — making sequential and
-    partitioned runs byte-identical.
+    and folded in fixed node order when read. That fold order sets the
+    stage totals (and artifact bytes) of every multi-node run.
     """
 
     __slots__ = ("shards", "_engine")

@@ -17,11 +17,11 @@ Design constraints, in order:
   boundary fires. Sampling therefore depends only on the event stream —
   never on wall clock, scheduling or process layout — so serial and
   parallel sweep executions produce byte-identical timeline blocks.
-* **Off by default, cheap when on.** With no
-  :class:`TimelineConfig` the engine runs its unmodified hot loop; with
-  one, the loop pays a single float comparison per event and the probe
-  walk only at boundaries (see ``Engine._run_sampled``), guarded by
-  ``benchmarks/bench_obs_overhead.py``.
+* **Off by default, cheap when on.** A recorded run uses the same
+  engine loop as an unobserved one: ``Engine._run_fast`` already
+  compares every event against one "next stop" time, and the recorder
+  only lowers that stop to its next boundary, so the probe walk runs at
+  boundaries only (guarded by ``benchmarks/bench_obs_overhead.py``).
 * **Bounded memory.** Samples live in a ring of ``capacity`` rows;
   on overflow the recorder decimates (drops every other retained sample
   and doubles its sampling stride), so arbitrarily long runs keep a
@@ -254,31 +254,6 @@ class TimelineRecorder:
                         ("reliability.peers_confirmed_dead",
                          lambda t: rstats.peers_confirmed_dead)
                     )
-
-        if rt.pdes is not None:
-            # PDES session telemetry. A timeline-carrying run always
-            # falls back to sequential execution (the recorder samples
-            # cannot merge across partitions), so these series document
-            # the fallback: static per run, shadowing the pdes.*
-            # registry entries for the validator's final-sample check.
-            def _pdes(field, default=0.0):
-                info = rt.pdes_info
-                return (
-                    float(getattr(info, field)) if info is not None
-                    else default
-                )
-
-            probes.append(
-                ("pdes.null_messages", lambda t: _pdes("null_messages"))
-            )
-            probes.append(
-                ("pdes.horizon_stalls_ns",
-                 lambda t: _pdes("horizon_stalls_ns"))
-            )
-            probes.append(
-                ("pdes.partition_imbalance",
-                 lambda t: _pdes("partition_imbalance"))
-            )
 
         for i, scheme in enumerate(rt.schemes):
             prefix = f"tram.{i}.{scheme.name}"

@@ -30,8 +30,8 @@ stream is the exact ``(time, seq)`` total order regardless of which
 structure an event waited in. ``tests/properties/test_prop_sim.py``
 pins this with a randomized heap-only-vs-wheel equivalence test.
 
-Partition-stable sequence numbers
----------------------------------
+Owner-slot sequence numbers
+---------------------------
 By default ``seq`` is a single global counter. A multi-owner engine
 (:meth:`Engine.configure_owners`, used by multi-node runtimes) instead
 allocates from per-owner counters and encodes the allocating slot into
@@ -40,12 +40,10 @@ the sequence number::
     seq = per_slot_counter * n_slots + slot
 
 with one slot per owner (simulated node) plus one slot per *directed
-owner pair* for cross-node wire events. Because each slot's counter
-advances only from causally-local activity, a partitioned run
-(:mod:`repro.sim.parallel`) allocates the exact same ``(time, seq)``
-keys as the sequential run — which is what makes the conservative PDES
-merge bit-for-bit identical. With a single owner the encoding collapses
-to ``seq = counter`` — today's behavior, unchanged bit for bit.
+owner pair* for cross-node wire events. Each slot's counter advances
+only from causally-local activity; the encoding fixes the tie order of
+same-time events in multi-node runs, so changing it changes artifact
+bytes. With a single owner the encoding collapses to ``seq = counter``.
 
 Events are plain lists (see :mod:`repro.sim.event`): slot 2 is the
 state, and the list itself is the cancellation handle.
@@ -55,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.event import ST_CONSUMED, ST_PENDING, ST_POOLED, ST_WHEEL
@@ -107,7 +105,6 @@ class Engine:
         "tracer",
         "now",
         "sampler",
-        "fire_log",
         "current_owner",
         "_queue",
         "_wheel",
@@ -128,13 +125,9 @@ class Engine:
         #: the first event at-or-past ``sampler.next_due``, the run loop
         #: calls ``sampler.on_boundary(t)``. Driving sampling from the
         #: event stream (rather than self-rescheduling sampler events)
-        #: keeps run-to-exhaustion quiescence intact and adds only one
-        #: float compare per event.
+        #: keeps run-to-exhaustion quiescence intact; the fast loop folds
+        #: ``next_due`` into its single "next stop" compare.
         self.sampler: Optional[Any] = None
-        #: Optional list collecting ``(time, seq)`` of every fired event
-        #: (forces the general run loop; used by the PDES equivalence
-        #: property tests).
-        self.fire_log: Optional[List[Tuple[float, int]]] = None
         #: Owner slot of the event currently firing (multi-owner engines
         #: only; stays 0 otherwise). Events scheduled from inside a
         #: callback are allocated under this owner.
@@ -159,7 +152,7 @@ class Engine:
     # Owner configuration (multi-node runtimes)
     # ------------------------------------------------------------------
     def configure_owners(self, n_owners: int) -> None:
-        """Switch to partition-stable seq allocation over ``n_owners``.
+        """Switch to owner-slot seq allocation over ``n_owners``.
 
         Must be called before anything is scheduled. Slots ``0..n-1``
         are per-owner counters; slot ``n + src*n + dst`` orders the
@@ -178,26 +171,9 @@ class Engine:
         self._owner_seq = [0] * self._n_slots
         self.current_owner = 0
 
-    def owner_of_seq(self, seq: int) -> int:
-        """Owner that executes the event carrying ``seq`` (wire events
-        belong to their destination owner)."""
-        mod = self._owner_mod
-        if not mod:
-            return 0
-        n = self._n_owners
-        slot = seq % mod
-        return slot if slot < n else (slot - n) % n
-
     # ------------------------------------------------------------------
     # Scheduling — precise-ordering heap
     # ------------------------------------------------------------------
-    def _alloc_seq(self) -> int:
-        cur = self.current_owner
-        seqs = self._owner_seq
-        oseq = seqs[cur]
-        seqs[cur] = oseq + 1
-        return oseq * self._n_slots + cur
-
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> list:
         """Schedule ``fn(*args)`` at absolute simulated time ``time``.
 
@@ -284,8 +260,7 @@ class Engine:
 
         Wire events are *executed* by their destination owner but their
         allocation order depends only on the sender, so the counter
-        lives in a dedicated per-pair slot that both the sequential
-        engine and the sender's partition advance identically.
+        lives in a dedicated per-pair slot.
         """
         n = self._n_owners
         slot = n + src_owner * n + dst_owner
@@ -322,14 +297,6 @@ class Engine:
         else:
             ev = [time, seq, ST_POOLED, fn, args]
         _heappush(self._heap, ev)
-
-    def inject_foreign(
-        self, time: float, seq: int, fn: Callable[..., Any], args: tuple = ()
-    ) -> None:
-        """Insert an event whose ``(time, seq)`` key was allocated by a
-        peer partition (a cross-partition wire arrival). The key is used
-        verbatim so the merged order matches the sequential engine."""
-        _heappush(self._heap, [time, seq, ST_POOLED, fn, args])
 
     # ------------------------------------------------------------------
     # Scheduling — timer wheel (timeout-class events)
@@ -419,11 +386,9 @@ class Engine:
             ``run()`` call. (This strict semantics makes ``until`` a
             composable window boundary: successive calls with
             ``until=h1, h2, ...`` fire each event exactly once, in the
-            window ``[h_{k-1}, h_k)`` that contains it — the property
-            the partitioned engine of :mod:`repro.sim.parallel` builds
-            on.) Deferred events are *not* popped — they stay queued, so
-            their handles remain valid and a later :meth:`run` call
-            fires them.
+            window ``[h_{k-1}, h_k)`` that contains it.) Deferred events
+            stay queued, so their handles remain valid and a later
+            :meth:`run` call fires them.
         max_events:
             Safety valve for tests: abort with :class:`SimulationError`
             after this many events (catches accidental infinite loops).
@@ -440,20 +405,8 @@ class Engine:
         stats = RunStats()
         stats.last_event_time = self.now
         try:
-            if (
-                max_events is None
-                and self.tracer is None
-                and self.fire_log is None
-            ):
-                if until is None:
-                    if self.sampler is None:
-                        self._run_fast(stats)
-                    else:
-                        self._run_sampled(stats)
-                elif self.sampler is None:
-                    self._run_until(stats, until)
-                else:
-                    self._run_general(stats, until, None)
+            if max_events is None and self.tracer is None:
+                self._run_fast(stats, until)
             else:
                 self._run_general(stats, until, max_events)
         finally:
@@ -461,8 +414,14 @@ class Engine:
         stats.end_time = self.now
         return stats
 
-    def _run_fast(self, stats: RunStats) -> None:
-        """Unobserved full run: the simulator's hot loop.
+    def _run_fast(self, stats: RunStats, until: Optional[float]) -> None:
+        """Unobserved run: the simulator's hot loop.
+
+        One "next stop" time, ``min(until, sampler.next_due)`` (``inf``
+        when neither is set), covers both the horizon and the timeline
+        sampler at one float compare per event. An event at or past
+        ``until`` is put back where it came from, so it stays queued
+        and its handle still cancels.
 
         When the head event comes from the wheel, any further wheel
         events at the *same timestamp* that still precede the heap head
@@ -472,14 +431,18 @@ class Engine:
         the identical ``(time, seq)`` order the plain loop would:
         cohort members were armed before anything a fired callback can
         schedule now (so their seqs are smaller), and the cached heap
-        head bounds everything that was already queued.
+        head bounds everything that was already queued. It needs no stop
+        check: it shares the ``t`` that already passed it.
         """
         queue = self._queue
         heap = self._heap
         wheel = self._wheel
         pool = self._pool
+        sampler = self.sampler
         mod = self._owner_mod
         nown = self._n_owners
+        limit = float("inf") if until is None else until
+        stop = limit if sampler is None else min(limit, sampler.next_due)
         fired = 0
         while not self._stop_requested:
             hev = None
@@ -503,6 +466,18 @@ class Engine:
                     break
             state = ev[2]
             t = ev[0]
+            if t >= stop:
+                if t >= limit:
+                    # It belongs to a later run() call; put it back.
+                    if from_wheel:
+                        wheel.unpop(ev)
+                    else:
+                        _heappush(heap, ev)
+                    stats.horizon_reached = True
+                    break
+                # Sample state-at-boundary before the crossing event
+                # fires; all applied events are strictly earlier.
+                stop = min(limit, sampler.on_boundary(t))
             self.now = t
             if mod:
                 slot = ev[1] % mod
@@ -537,125 +512,23 @@ class Engine:
             stats.stopped_early = True
         stats.events_fired = fired
         stats.last_event_time = self.now
-
-    def _run_sampled(self, stats: RunStats) -> None:
-        """Full run with a boundary sampler: :meth:`_run_fast` plus one
-        ``t >= next_due`` compare per event. Kept as a separate loop so
-        the sampler-less hot path stays untouched (the obs-overhead
-        bench guards both)."""
-        queue = self._queue
-        heap = self._heap
-        wheel = self._wheel
-        pool = self._pool
-        sampler = self.sampler
-        mod = self._owner_mod
-        nown = self._n_owners
-        next_due = sampler.next_due
-        fired = 0
-        while not self._stop_requested:
-            if wheel._live:
-                wev = wheel.peek()
-                hev = queue.peek()
-                if hev is None or wev < hev:
-                    ev = wheel.pop()
-                else:
-                    ev = _heappop(heap)
-            else:
-                while heap:
-                    ev = _heappop(heap)
-                    if ev[2]:
-                        break
-                    queue._corpses -= 1
-                else:
-                    break
-            state = ev[2]
-            t = ev[0]
-            if t >= next_due:
-                # Sample state-at-boundary before the crossing event
-                # fires; all applied events are strictly earlier.
-                next_due = sampler.on_boundary(t)
-            self.now = t
-            if mod:
-                slot = ev[1] % mod
-                self.current_owner = slot if slot < nown else (slot - nown) % nown
-            fired += 1
-            ev[2] = ST_CONSUMED
-            ev[3](*ev[4])
-            if state == ST_POOLED and len(pool) < POOL_CAP:
-                pool.append(ev)
-        else:
-            stats.stopped_early = True
-        stats.events_fired = fired
-        stats.last_event_time = self.now
-
-    def _run_until(self, stats: RunStats, until: float) -> None:
-        """Horizon-bounded run without tracing/sampling: the partition
-        window primitive. Fires events with ``t < until`` (strictly),
-        then advances the clock to ``until``. Peeks before popping so a
-        deferred event is never removed — handles stay valid across
-        successive horizons."""
-        queue = self._queue
-        heap = self._heap
-        wheel = self._wheel
-        pool = self._pool
-        mod = self._owner_mod
-        nown = self._n_owners
-        fired = 0
-        while not self._stop_requested:
-            from_wheel = False
-            if wheel._live:
-                wev = wheel.peek()
-                hev = queue.peek()
-                if hev is None or wev < hev:
-                    ev = wev
-                    from_wheel = True
-                else:
-                    ev = hev
-            else:
-                ev = queue.peek()
-                if ev is None:
-                    break
-            t = ev[0]
-            if t >= until:
-                # It belongs to a later run() call; leave it in place.
-                stats.horizon_reached = True
-                break
-            if from_wheel:
-                wheel.pop()
-            else:
-                _heappop(heap)
-            state = ev[2]
-            self.now = t
-            if mod:
-                slot = ev[1] % mod
-                self.current_owner = slot if slot < nown else (slot - nown) % nown
-            fired += 1
-            ev[2] = ST_CONSUMED
-            ev[3](*ev[4])
-            if state == ST_POOLED and len(pool) < POOL_CAP:
-                pool.append(ev)
-        else:
-            stats.stopped_early = True
-        stats.events_fired = fired
-        stats.last_event_time = self.now
         if stats.horizon_reached and self.now < until:
-            # A deferred event exists; park the clock at the window edge.
+            # A deferred event exists; park the clock at the horizon.
             self.now = until
 
     def _run_general(
         self, stats: RunStats, until: Optional[float], max_events: Optional[int]
     ) -> None:
-        """Run with horizon / max-events / tracing / sampling / fire
-        logging. Peeks before popping so an event beyond the horizon is
-        never removed — that is what keeps cancel handles valid across
-        successive horizons."""
+        """The instrumented loop: :meth:`_run_fast` plus ``max_events``
+        and the tracer. Peeks before popping so an event beyond the
+        horizon is never removed — that is what keeps cancel handles
+        valid across successive horizons."""
         queue = self._queue
         heap = self._heap
         wheel = self._wheel
         pool = self._pool
         tracer = self.tracer
         sampler = self.sampler
-        fire_log = self.fire_log
         mod = self._owner_mod
         nown = self._n_owners
         next_due = sampler.next_due if sampler is not None else None
@@ -707,8 +580,6 @@ class Engine:
                 tracer.record(
                     "event", t=t, fn=getattr(ev[3], "__qualname__", "?")
                 )
-            if fire_log is not None:
-                fire_log.append((t, ev[1]))
             state = ev[2]
             ev[2] = ST_CONSUMED
             ev[3](*ev[4])

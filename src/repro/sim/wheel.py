@@ -161,6 +161,12 @@ class TimerWheel:
         self._live -= 1
         return _heappop(self._current)
 
+    def unpop(self, ev: list) -> None:
+        """Undo the :meth:`pop` that returned ``ev`` (nothing may have
+        touched the wheel since)."""
+        self._live += 1
+        _heappush(self._current, ev)
+
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event, or ``None`` if empty."""
         ev = self.peek()

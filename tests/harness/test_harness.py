@@ -107,6 +107,14 @@ class TestQuickFigures:
         assert bufs["R2D"] < bufs["WPs"]
         assert lat["R2D"] > lat["WPs"]
 
+    def test_fig18_shape(self):
+        """PP rejects >5% fewer out-of-order events than WW; the exact
+        counts are deterministic results and pin PHOLD's behaviour."""
+        data = run_figure("fig18", "quick")
+        rejected = dict(zip(data.x, data.series_by_name("rejected").y))
+        assert rejected == {"WW": 5096, "WPs": 5021, "WsP": 4994, "PP": 3392}
+        assert rejected["PP"] < 0.95 * rejected["WW"]
+
 
 class TestCli:
     def test_list(self, capsys):
