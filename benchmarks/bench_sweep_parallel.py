@@ -86,7 +86,7 @@ def bench_throughput(parallel: int, metrics_path=None, cache_dir=None,
     t0 = time.perf_counter()
     result = run_sweep(
         POINT_FN, AXES, seeds=SEEDS, tag=TAG, parallel=parallel,
-        cache_dir=cache_dir, fresh=fresh, metrics_path=metrics_path,
+        cache_dir=cache_dir, cache_read=not fresh, metrics_path=metrics_path,
     )
     return time.perf_counter() - t0, result
 

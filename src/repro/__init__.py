@@ -19,6 +19,8 @@ The package provides:
 * :mod:`repro.flow` — credit-based flow control: bounded comm-thread /
   NIC occupancy, backpressure into TramLib source buffers, overload
   escalation and (opt-in) per-destination load shedding;
+* :mod:`repro.options` — :class:`RunOptions`, the one ambient bundle of
+  per-run options (faults, reliability, flow, observability);
 * :mod:`repro.analysis` — the paper's §III-C closed-form cost analysis;
 * :mod:`repro.apps` — PingAck, histogram, index-gather, SSSP and PHOLD;
 * :mod:`repro.harness` — per-figure experiment harness and CLI.
@@ -55,6 +57,7 @@ from repro.machine import (
     small_test_machine,
 )
 from repro.obs import ObsConfig, ObsSession
+from repro.options import RunOptions
 from repro.runtime import (
     Chare,
     ExecContext,
@@ -92,6 +95,7 @@ __all__ = [
     "ReproError",
     "RetryExhaustedError",
     "RngStreams",
+    "RunOptions",
     "RuntimeSystem",
     "SEC",
     "SchedulingError",

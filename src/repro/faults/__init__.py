@@ -6,17 +6,13 @@ inter-node wire, plus scripted NIC degradation and comm-thread stalls.
 Off by default; a runtime without a plan pays one ``is None`` check.
 """
 
-from repro.faults.context import (
-    FaultSession,
-    active_fault_plan,
-    active_fault_session,
-)
 from repro.faults.injector import FaultInjector, FaultStats
 from repro.faults.plan import (
     FOREVER,
     KINDS,
     PROCESS_KINDS,
     FaultPlan,
+    FaultSession,
     FaultWindow,
 )
 
@@ -26,8 +22,6 @@ __all__ = [
     "FaultInjector",
     "FaultStats",
     "FaultSession",
-    "active_fault_plan",
-    "active_fault_session",
     "KINDS",
     "PROCESS_KINDS",
     "FOREVER",

@@ -9,18 +9,19 @@ faults. Plans are pure data; the seeded dice live in
 :class:`~repro.faults.injector.FaultInjector`.
 
 Plans are off by default and zero-cost when absent: a runtime built
-without one (and outside a :class:`~repro.faults.context.FaultSession`)
-carries ``rt.faults is None`` and every hook reduces to that one check —
-the same gating pattern as :class:`~repro.obs.config.ObsConfig`.
+without one (and outside a :class:`FaultSession`) carries
+``rt.faults is None`` and every hook reduces to that one check — the
+same gating pattern as :class:`~repro.obs.config.ObsConfig`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.errors import FaultInjectionError
+from repro.options import IMPLIED, OptionsOverlay
 
 #: Wire-level fault kinds (per-message dice at the source NIC).
 WIRE_KINDS = ("drop", "dup", "corrupt", "reorder")
@@ -251,3 +252,17 @@ class FaultPlan:
 
 #: Convenience alias: a window open until the end of the run.
 FOREVER = math.inf
+
+
+class FaultSession(OptionsOverlay):
+    """Installs a fault plan (and reliability) for runtimes built inside.
+
+    ``with FaultSession(FaultPlan.parse("drop=0.01")): run_figure_body()``
+    — an overlay onto the ambient :class:`~repro.options.RunOptions`.
+    ``reliability`` defaults to an enabled config, so a faulty run still
+    delivers exactly once; pass ``None`` to study raw (lossy) behaviour.
+    """
+
+    def __init__(self, plan: FaultPlan, reliability: Any = IMPLIED) -> None:
+        super().__init__(faults=plan, reliability=reliability)
+        self.plan = plan

@@ -8,12 +8,7 @@ loss-aware quiescence accounting. Off by default; a runtime without a
 config pays one ``is None`` check per message.
 """
 
-from repro.flow.config import FlowConfig
-from repro.flow.context import (
-    FlowSession,
-    active_flow_config,
-    active_flow_session,
-)
+from repro.flow.config import FlowConfig, FlowSession
 from repro.flow.controller import FlowController, FlowStats, conservation_ledger
 from repro.flow.credit import CreditGate
 
@@ -24,6 +19,4 @@ __all__ = [
     "CreditGate",
     "conservation_ledger",
     "FlowSession",
-    "active_flow_config",
-    "active_flow_session",
 ]

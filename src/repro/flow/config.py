@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.errors import FlowControlError
+from repro.options import OptionsOverlay
 
 
 @dataclass(frozen=True)
@@ -152,3 +153,12 @@ class FlowConfig:
                     f"flow spec value for {key!r} is not a number: {raw!r}"
                 ) from None
         return cls(**kwargs)
+
+
+class FlowSession(OptionsOverlay):
+    """Installs a flow config for runtimes built inside — an overlay
+    onto the ambient :class:`~repro.options.RunOptions`."""
+
+    def __init__(self, config: FlowConfig) -> None:
+        super().__init__(flow=config)
+        self.config = config

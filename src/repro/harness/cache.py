@@ -1,13 +1,16 @@
 """Content-addressed result cache for sweep points.
 
 Every sweep point — one ``fn(seed=..., **params)`` invocation — is
-keyed by a stable hash over everything that determines its result:
+keyed by a stable hash (:func:`fingerprint`, which also heads the sweep
+journal) over everything that determines its result:
 
 * the point *tag* (a stable name for the metric function),
 * the resolved parameters and the seed,
 * the cost-model constants (so recalibrating the simulator invalidates
   every cached point automatically),
-* the ambient fault plan and flow-control config, when active.
+* every ambient run option that is on — fault plan, non-default
+  reliability, flow control, timeline (see
+  :meth:`repro.options.RunOptions.describe`).
 
 Completed points are persisted as individual JSON artifacts under a
 cache directory (``<root>/<key[:2]>/<key>.json``, written atomically),
@@ -28,6 +31,8 @@ import json
 import os
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional
+
+from repro.options import RunOptions
 
 #: Bump on any change that invalidates previously cached points
 #: (entry layout, key ingredients, record semantics).
@@ -60,42 +65,42 @@ def cost_model_fingerprint(costs: Any = None) -> Dict[str, Any]:
     return dataclasses.asdict(model)
 
 
+def fingerprint(options: Optional[RunOptions], **ingredients: Any) -> str:
+    """Stable content hash of one unit of harness work.
+
+    ``ingredients`` name the work (schema, tag, points, cost model);
+    ``options`` adds every run option that is on, so a degraded,
+    lossy, flow-controlled or timeline-bearing run never shares a cache
+    entry or a journal with a different one. With every option off the
+    payload keeps its historical explicit-null ``faults``/``flow``
+    shape, so existing cache entries stay valid.
+    """
+    payload = {"faults": None, "flow": None, **ingredients}
+    if options is not None:
+        payload.update(options.describe())
+    blob = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=_jsonable
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def point_key(
     *,
     tag: str,
     params: Mapping[str, Any],
     seed: int,
     costs: Any = None,
-    faults: Any = None,
-    flow: Any = None,
-    obs: Any = None,
+    options: Optional[RunOptions] = None,
 ) -> str:
-    """Stable content hash identifying one sweep point.
-
-    ``faults`` / ``flow`` are the ambient :class:`~repro.faults.FaultPlan`
-    and :class:`~repro.flow.FlowConfig` (or ``None``); they are folded in
-    as dataclass dicts so a degraded or flow-controlled sweep never
-    shares entries with a clean one. ``obs`` is the ambient
-    :class:`~repro.obs.TimelineConfig` when the flight recorder is on:
-    timeline-bearing records must not replay into (or from) plain runs.
-    It is folded in only when set, so enabling the recorder never
-    invalidates existing plain-run caches.
-    """
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "tag": tag,
-        "params": dict(params),
-        "seed": int(seed),
-        "costs": cost_model_fingerprint(costs),
-        "faults": faults,
-        "flow": flow,
-    }
-    if obs is not None:
-        payload["obs"] = obs
-    blob = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=_jsonable
+    """Stable content hash identifying one sweep point."""
+    return fingerprint(
+        options,
+        schema=CACHE_SCHEMA,
+        tag=tag,
+        params=dict(params),
+        seed=int(seed),
+        costs=cost_model_fingerprint(costs),
     )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class ResultCache:

@@ -20,7 +20,10 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
+from repro.errors import ConfigError
 from repro.harness.figures import FIGURES, run_figure
+from repro.harness.pool import PoolConfig
+from repro.options import RunOptions
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -303,18 +306,72 @@ def _parse_fixed(spec: str) -> dict:
     return fixed
 
 
-def _timeline_config(args):
-    """The :class:`~repro.obs.TimelineConfig` the flags ask for, or None."""
-    if not getattr(args, "timeline", False):
-        return None
-    from repro.obs import TimelineConfig
+def _run_options(args) -> RunOptions:
+    """The one :class:`~repro.options.RunOptions` the flags ask for."""
+    obs = None
+    if args.timeline:
+        from repro.obs import ObsConfig, TimelineConfig
 
-    return TimelineConfig(
-        cadence_ns=args.timeline_cadence, capacity=args.timeline_capacity
+        obs = ObsConfig(
+            timeline=TimelineConfig(
+                cadence_ns=args.timeline_cadence,
+                capacity=args.timeline_capacity,
+            )
+        )
+    return RunOptions(faults=args.faults, flow=args.flow, obs=obs)
+
+
+def _pool_config(args) -> PoolConfig:
+    """The one :class:`~repro.harness.pool.PoolConfig` the flags ask for.
+
+    ``sweep`` caches by default (``.repro-cache/sweep``, journaled next
+    to it) and drains gracefully on SIGINT/SIGTERM.
+    """
+    sweep = args.target == "sweep"
+    cache_dir = None if args.no_cache else args.cache_dir
+    if sweep and cache_dir is None and not args.no_cache:
+        cache_dir = Path(".repro-cache") / "sweep"
+    journal = args.journal
+    if sweep and journal is None and cache_dir is not None:
+        journal = cache_dir / "sweep-journal.jsonl"
+    return PoolConfig(
+        parallel=args.parallel,
+        cache_dir=cache_dir,
+        cache_read=not args.fresh,
+        max_executions=args.max_points,
+        status=args.status,
+        status_json=args.status_json,
+        retries=args.retries,
+        point_timeout_s=args.point_timeout,
+        journal=journal,
+        resume=args.resume,
+        drain_signals=sweep,
     )
 
 
-def _run_sweep_cmd(args) -> int:
+#: Sweep-only flags: a figure runs several grids, so it takes no
+#: journal or point budget.
+_SWEEP_ONLY = ("journal", "resume", "max_points")
+#: What ``validate`` and ``report`` would drop on top: they run the
+#: figures clean and write no artifact.
+_RUN_OPTION_FLAGS = ("faults", "flow", "timeline", "metrics_out")
+
+
+def _refused_flag(args) -> Optional[str]:
+    """The first flag ``args.target`` would silently drop, if any."""
+    if args.target in ("validate", "report"):
+        refused = _SWEEP_ONLY + _RUN_OPTION_FLAGS
+    elif args.target == "all" or args.target in FIGURES:
+        refused = _SWEEP_ONLY
+    else:
+        return None
+    for dest in refused:
+        if getattr(args, dest) not in (None, False):
+            return "--" + dest.replace("_", "-")
+    return None
+
+
+def _run_sweep_cmd(args, options: RunOptions, pool: PoolConfig) -> int:
     import functools
     import json as _json
 
@@ -339,16 +396,6 @@ def _run_sweep_cmd(args) -> int:
     tag = f"app:{args.app}:{args.metric}:" + _json.dumps(
         fixed, sort_keys=True, separators=(",", ":")
     )
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = (
-            args.cache_dir
-            if args.cache_dir is not None
-            else Path(".repro-cache") / "sweep"
-        )
-    journal = args.journal
-    if journal is None and cache_dir is not None:
-        journal = cache_dir / "sweep-journal.jsonl"
     t0 = time.perf_counter()
     try:
         result = run_sweep(
@@ -357,20 +404,9 @@ def _run_sweep_cmd(args) -> int:
             seeds=seeds,
             metric=args.metric,
             metrics_path=args.metrics_out,
-            flow=args.flow,
-            timeline=_timeline_config(args),
-            parallel=args.parallel,
-            cache_dir=cache_dir,
-            fresh=args.fresh,
             tag=tag,
-            max_executions=args.max_points,
-            status=args.status,
-            status_json=args.status_json,
-            retries=args.retries,
-            point_timeout_s=args.point_timeout,
-            journal=journal,
-            resume=args.resume,
-            drain_signals=True,
+            options=options,
+            pool=pool,
         )
     except SweepInterrupted as exc:
         print(f"sweep interrupted: {exc}", file=sys.stderr)
@@ -402,42 +438,31 @@ def _run_sweep_cmd(args) -> int:
 
 def _run_one(
     fig_id: str,
-    profile: str,
-    out: Optional[Path],
-    metrics_out: Optional[Path] = None,
-    faults: Optional[str] = None,
-    flow: Optional[str] = None,
-    parallel: int = 1,
-    cache_dir: Optional[Path] = None,
-    fresh: bool = False,
-    timeline=None,
-    status: bool = False,
-    status_json: Optional[Path] = None,
-    retries: int = 0,
-    point_timeout_s: Optional[float] = None,
+    args,
+    options: RunOptions,
+    pool: PoolConfig,
+    metrics_out: Optional[Path],
 ) -> None:
     t0 = time.perf_counter()
     data = run_figure(
-        fig_id, profile, metrics_path=metrics_out, faults=faults, flow=flow,
-        timeline=timeline, parallel=parallel, cache_dir=cache_dir,
-        fresh=fresh, status=status, status_json=status_json,
-        retries=retries, point_timeout_s=point_timeout_s,
+        fig_id, args.profile, metrics_path=metrics_out, options=options,
+        pool=pool,
     )
     elapsed = time.perf_counter() - t0
     report = data.render()
     print(report)
-    suffix = f" under faults '{faults}'" if faults else ""
-    if flow:
-        suffix += f" with flow control '{flow}'"
-    if parallel != 1:
-        suffix += f" at --parallel {parallel}"
+    suffix = f" under faults '{args.faults}'" if args.faults else ""
+    if args.flow:
+        suffix += f" with flow control '{args.flow}'"
+    if pool.parallel != 1:
+        suffix += f" at --parallel {pool.parallel}"
     print(f"[{fig_id} regenerated in {elapsed:.1f}s wall{suffix}]")
     if metrics_out is not None:
         print(f"[metrics artifact written to {metrics_out}]")
     print()
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{fig_id}.txt").write_text(report + "\n")
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / f"{fig_id}.txt").write_text(report + "\n")
 
 
 def _validate_metrics(path: Optional[Path]) -> int:
@@ -469,24 +494,16 @@ def _validate_metrics(path: Optional[Path]) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "faults", None) is not None:
-        from repro.errors import FaultInjectionError
-        from repro.faults import FaultPlan
-
-        try:
-            FaultPlan.parse(args.faults)
-        except FaultInjectionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if getattr(args, "flow", None) is not None:
-        from repro.errors import FlowControlError
-        from repro.flow import FlowConfig
-
-        try:
-            FlowConfig.parse(args.flow)
-        except FlowControlError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        options = _run_options(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    refused = _refused_flag(args)
+    if refused is not None:
+        print(f"error: {args.target!r} does not take {refused}", file=sys.stderr)
+        return 2
+    pool = _pool_config(args)
     if args.target == "list":
         width = max(len(k) for k in FIGURES)
         for fig_id, (_, desc) in FIGURES.items():
@@ -499,8 +516,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return run_timeline_plot(args.path, out=args.out)
     if args.target == "sweep":
-        return _run_sweep_cmd(args)
-    fig_cache = None if args.no_cache else args.cache_dir
+        return _run_sweep_cmd(args, options, pool)
     if args.target == "all":
         for fig_id in FIGURES:
             metrics_out = (
@@ -508,20 +524,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if args.metrics_out is not None
                 else None
             )
-            _run_one(
-                fig_id, args.profile, args.out, metrics_out, args.faults,
-                args.flow, args.parallel, fig_cache, args.fresh,
-                _timeline_config(args), args.status, args.status_json,
-                args.retries, args.point_timeout,
-            )
+            _run_one(fig_id, args, options, pool, metrics_out)
         return 0
     if args.target == "validate":
         from repro.harness.validate import render_results, validate_reproduction
 
-        results = validate_reproduction(
-            profile=args.profile, parallel=args.parallel, cache_dir=fig_cache,
-            retries=args.retries, point_timeout_s=args.point_timeout,
-        )
+        results = validate_reproduction(profile=args.profile, pool=pool)
         print(render_results(results))
         failed = [r for r in results if not r.passed]
         print(f"\n{len(results) - len(failed)}/{len(results)} checks passed")
@@ -531,7 +539,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         outdir = args.out if args.out is not None else Path("results")
         outdir.mkdir(parents=True, exist_ok=True)
-        path = write_report(outdir / "REPORT.md", profile=args.profile)
+        path = write_report(
+            outdir / "REPORT.md", profile=args.profile, pool=pool
+        )
         print(f"wrote {path}")
         return 0
     if args.target not in FIGURES:
@@ -542,12 +552,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    _run_one(
-        args.target, args.profile, args.out, args.metrics_out, args.faults,
-        args.flow, args.parallel, fig_cache, args.fresh,
-        _timeline_config(args), args.status, args.status_json,
-        args.retries, args.point_timeout,
-    )
+    _run_one(args.target, args, options, pool, args.metrics_out)
     return 0
 
 

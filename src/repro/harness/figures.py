@@ -15,7 +15,7 @@ sweeps to bench-friendly sizes; ``paper`` is the default.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.analysis import (
     buffer_bytes_per_process,
@@ -33,6 +33,7 @@ from repro.errors import HarnessError
 from repro.harness.experiment import FigureData, Series
 from repro.machine import MachineConfig, nonsmp_machine
 from repro.network.pingpong import measure_pingpong
+from repro.options import RunOptions, active_options
 from repro.tram import SCHEME_NAMES
 
 #: Scaled stand-in for a Delta node (paper: 8 processes x 8 workers).
@@ -293,8 +294,12 @@ def fig11(profile: str = "paper") -> FigureData:
 # ======================================================================
 # Fig 12 / 13 — index-gather latency and total time
 # ======================================================================
+#: The shared sweeps below are memoized per ``(profile, ..., options)``:
+#: the ambient :class:`~repro.options.RunOptions` is part of every key,
+#: so a result computed under faults, flow control or a timeline never
+#: answers a call made under different options.
 @lru_cache(maxsize=4)
-def _ig_sweep(profile: str):
+def _ig_sweep(profile: str, options: RunOptions):
     nodes_list = (1, 2, 4, 8, 16) if profile == "paper" else (1, 2, 4)
     z = 4000 if profile == "paper" else 3000
     grid = [
@@ -311,7 +316,7 @@ def _ig_sweep(profile: str):
 
 def fig12(profile: str = "paper") -> FigureData:
     _check_profile(profile)
-    nodes_list, results = _ig_sweep(profile)
+    nodes_list, results = _ig_sweep(profile, active_options())
     return FigureData(
         fig_id="fig12",
         title="Index-gather: mean item round-trip latency",
@@ -334,7 +339,7 @@ def fig12(profile: str = "paper") -> FigureData:
 
 def fig13(profile: str = "paper") -> FigureData:
     _check_profile(profile)
-    nodes_list, results = _ig_sweep(profile)
+    nodes_list, results = _ig_sweep(profile, active_options())
     return FigureData(
         fig_id="fig13",
         title="Index-gather: total time",
@@ -356,7 +361,7 @@ def fig13(profile: str = "paper") -> FigureData:
 # Fig 14-17 — SSSP small / large
 # ======================================================================
 @lru_cache(maxsize=4)
-def _sssp_sweep(profile: str, size: str):
+def _sssp_sweep(profile: str, size: str, options: RunOptions):
     if size == "small":
         n_vertices = 2048 if profile == "paper" else 1024
         nodes_list = (2, 4) if profile == "paper" else (2,)
@@ -379,7 +384,7 @@ def _sssp_sweep(profile: str, size: str):
 
 
 def _sssp_fig(profile: str, size: str, metric: str, fig_id: str) -> FigureData:
-    nodes_list, results = _sssp_sweep(profile, size)
+    nodes_list, results = _sssp_sweep(profile, size, active_options())
     if metric == "time":
         ylabel = "total time (ms)"
         value = lambda r: r.total_time_ns / 1e6  # noqa: E731
@@ -710,46 +715,30 @@ FIGURES: Dict[str, Tuple[Callable[[str], FigureData], str]] = {
 
 
 def run_figure(
-    fig_id: str, profile: str = "paper", metrics_path=None, faults=None,
-    flow=None, timeline=None, parallel: int = 1, cache_dir=None,
-    fresh: bool = False, status: bool = False, status_json=None,
-    retries: int = 0, point_timeout_s=None,
+    fig_id: str,
+    profile: str = "paper",
+    metrics_path=None,
+    options: Optional[RunOptions] = None,
+    pool=None,
 ) -> FigureData:
     """Run one registered experiment by id.
+
+    ``options`` (a :class:`~repro.options.RunOptions`) is installed for
+    the figure body, so every simulation in it runs under those fault,
+    reliability, flow-control and observability settings; ``None``
+    keeps the ambient ones. ``pool`` (a
+    :class:`~repro.harness.pool.PoolConfig`) configures the sweep pool
+    for the figure's grid-shaped bodies: points are dispatched to
+    worker processes and/or replayed from the content-addressed result
+    cache, with identical figure data and artifact contents either way
+    (modulo the provenance block). Figures fail fast on an exhausted
+    point (no quarantine) — a figure with holes in it is not a figure.
 
     With ``metrics_path`` set, the figure body runs inside an
     :class:`~repro.obs.config.ObsSession` (stage-attributed latency
     spans on) and a schema-versioned JSON artifact with one snapshot per
-    simulation run is written there (see :mod:`repro.harness.artifact`).
-
-    With ``faults`` set (a :class:`~repro.faults.FaultPlan` or a spec
-    string for :meth:`~repro.faults.FaultPlan.parse`), the figure body
-    runs inside a :class:`~repro.faults.FaultSession`: every simulation
-    gets seeded fault injection plus the reliable-delivery layer, so the
-    figure exercises the degraded data path end to end.
-
-    With ``flow`` set (a :class:`~repro.flow.FlowConfig` or a spec
-    string for :meth:`~repro.flow.FlowConfig.parse`), every simulation
-    runs with credit-based flow control: bounded comm-thread/NIC
-    occupancy, source backpressure and overload escalation.
-
-    With ``timeline`` set (a :class:`~repro.obs.TimelineConfig`), every
-    simulation carries the flight recorder: per-run ``timeline`` blocks
-    (time-series of queue depth, backlog, credit occupancy, ...) land in
-    the metrics artifact.
-
-    ``parallel``/``cache_dir``/``fresh`` configure the sweep pool for
-    the figure's grid-shaped bodies (see :mod:`repro.harness.pool`):
-    points are dispatched to worker processes and/or replayed from the
-    content-addressed result cache, with identical figure data and
-    artifact contents either way (modulo the provenance block).
-    ``status``/``status_json`` turn on live fleet telemetry while the
-    pool runs (see :mod:`repro.harness.fleet`).
-
-    ``retries``/``point_timeout_s`` configure the pool's supervisor:
-    failed or hung points are retried with seeded backoff and the
-    sweep survives worker crashes. Figures fail fast on an exhausted
-    point (no quarantine) — a figure with holes in it is not a figure.
+    simulation run is written there (see :mod:`repro.harness.artifact`);
+    its ``config`` block lists the run options in effect.
     """
     try:
         fn, _ = FIGURES[fig_id]
@@ -757,97 +746,31 @@ def run_figure(
         raise HarnessError(
             f"unknown figure {fig_id!r}; known: {', '.join(FIGURES)}"
         ) from None
-    plan = None
-    if faults is not None:
-        from repro.faults import FaultPlan
-
-        plan = faults if isinstance(faults, FaultPlan) else FaultPlan.parse(faults)
-        if plan.is_noop():
-            plan = None
-    fcfg = None
-    if flow is not None:
-        from repro.flow import FlowConfig
-
-        fcfg = flow if isinstance(flow, FlowConfig) else FlowConfig.parse(flow)
-        if not fcfg.enabled:
-            fcfg = None
-    pooled = parallel != 1 or cache_dir is not None
-    if (
-        metrics_path is None and plan is None and fcfg is None
-        and timeline is None and not pooled
-    ):
+    if metrics_path is None and options is None and pool is None:
         return fn(profile)
 
-    from contextlib import ExitStack
+    from dataclasses import replace
 
-    from repro.harness.pool import PoolConfig, pool_session
+    from repro.harness.pool import PoolConfig, harness_session
 
-    # The shared sweeps memoize results; a cached hit would run no
-    # simulations inside the session (empty artifact / no faults or
-    # backpressure applied), and a result computed under a degraded or
-    # flow-controlled data path must not leak into later clean
-    # invocations.
-    _ig_sweep.cache_clear()
-    _sssp_sweep.cache_clear()
-    session = None
-    try:
-        with ExitStack() as stack:
-            if plan is not None:
-                from repro.faults import FaultSession
-
-                stack.enter_context(FaultSession(plan))
-            if fcfg is not None:
-                from repro.flow import FlowSession
-
-                stack.enter_context(FlowSession(fcfg))
-            if metrics_path is not None or timeline is not None:
-                from repro.obs import ObsConfig, ObsSession
-
-                session = stack.enter_context(
-                    ObsSession(ObsConfig(timeline=timeline))
-                )
-            # Entered last so forked workers inherit the fault/flow/obs
-            # sessions above.
-            pool_ctx = stack.enter_context(
-                pool_session(
-                    PoolConfig(
-                        parallel=parallel,
-                        cache_dir=cache_dir,
-                        cache_read=not fresh,
-                        status=status,
-                        status_json=status_json,
-                        retries=retries,
-                        point_timeout_s=point_timeout_s,
-                    )
-                )
-            )
-            data = fn(profile)
-    finally:
-        if (
-            plan is not None or fcfg is not None or timeline is not None
-            or pooled
-        ):
+    pool = replace(pool or PoolConfig(), quarantine=False)
+    collect = metrics_path is not None
+    with harness_session(options, pool, collect) as (session, ctx, in_effect):
+        if session is not None:
+            # A memo hit would run no simulation inside the session.
             _ig_sweep.cache_clear()
             _sssp_sweep.cache_clear()
+        data = fn(profile)
     if metrics_path is not None:
-        from dataclasses import asdict
-
         from repro.harness.artifact import build_metrics_payload, write_metrics_json
 
-        extra = {}
-        if plan is not None:
-            extra["faults"] = asdict(plan)
-        if fcfg is not None:
-            extra["flow"] = asdict(fcfg)
-        if timeline is not None:
-            extra["timeline"] = asdict(timeline)
         payload = build_metrics_payload(
             target=fig_id,
             profile=profile,
             runs=session.records,
             figure=data,
-            extra_config=extra or None,
-            provenance=pool_ctx.provenance_payload(),
+            extra_config=in_effect.describe(),
+            provenance=ctx.provenance_payload(),
         )
         write_metrics_json(metrics_path, payload)
     return data

@@ -12,30 +12,31 @@ dropped on replay).
 Layout::
 
     {"kind": "header", "schema": "repro.sweep-journal/1",
-     "fingerprint": <sha256 over tag + grid + seeds + cost model>,
+     "fingerprint": <sha256 over tag + grid + seeds + cost model
+                     + run options>,
      "n_points": 8}
     {"kind": "point", "index": 3, "status": "ok", "value": ..,
      "records": [..], "retries": 0, ...}
     ...
     {"kind": "complete", "n_recorded": 8}
 
-The fingerprint pins the journal to one exact sweep: ``--resume``
-replays only a journal whose header matches the grid being executed
-(same tag, same points in the same order, same cost-model constants),
-so a stale journal from a different sweep in the same directory is
-ignored and overwritten rather than corrupting results. Replayed
-entries carry the point's value *and* its observability records, which
-is what keeps a resumed sweep's artifact canonical-byte-identical to an
-uninterrupted run.
+The fingerprint (:func:`repro.harness.cache.fingerprint`, the same one
+that addresses the result cache) pins the journal to one exact sweep:
+``--resume`` replays only a journal whose header matches the grid being
+executed (same tag, same points in the same order, same cost-model
+constants, same run options), so a stale journal from a different sweep
+in the same directory is ignored and overwritten rather than corrupting
+results. Replayed entries carry the point's value *and* its
+observability records, which is what keeps a resumed sweep's artifact
+canonical-byte-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping
 
 #: Bump on any change to the record layout or fingerprint ingredients.
 JOURNAL_SCHEMA = "repro.sweep-journal/1"
@@ -48,28 +49,6 @@ def _jsonable(obj: Any) -> Any:
     from repro.harness.cache import _jsonable as cache_jsonable
 
     return cache_jsonable(obj)
-
-
-def journal_fingerprint(tag: str, specs: Sequence[Any]) -> str:
-    """Stable identity of one sweep grid.
-
-    Folds in the point tag, every point's (params, seed) in grid order,
-    and the cost-model fingerprint — the same ingredients that address
-    the result cache — so a journal can never replay into a different
-    sweep (or into the same sweep after a simulator recalibration).
-    """
-    from repro.harness.cache import cost_model_fingerprint
-
-    payload = {
-        "schema": JOURNAL_SCHEMA,
-        "tag": tag,
-        "points": [[dict(s.params), int(s.seed)] for s in specs],
-        "costs": cost_model_fingerprint(None),
-    }
-    blob = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=_jsonable
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class SweepJournal:

@@ -46,13 +46,15 @@ dispatches them:
   8`` and trips the byte-identity tests — results must derive only
   from the point spec's seed.
 
-Processes are forked lazily per :func:`map_points` call, so ambient
-sessions (:class:`~repro.faults.FaultSession`,
-:class:`~repro.flow.FlowSession`, :class:`~repro.obs.ObsSession`)
-entered by the caller are inherited by the workers; fork is also what
-lets arbitrary in-process callables (closures, partials) run in workers
-without pickling. On platforms without ``fork`` the executor degrades
-to the serial path.
+The executor reads everything ambient from one frame of the
+:mod:`repro.options` stack: the :class:`~repro.options.RunOptions`
+every point runs under (folded into each point's cache key and the
+journal header), the :class:`~repro.obs.ObsSession` collecting run
+snapshots, and the :class:`PoolContext` itself (:func:`pool_session`).
+Processes are forked lazily per :func:`map_points` call, so workers
+inherit that frame; fork is also what lets arbitrary in-process
+callables (closures, partials) run in workers without pickling. On
+platforms without ``fork`` the executor degrades to the serial path.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import threading
 import time
 import traceback
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
@@ -73,6 +75,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 from repro.errors import HarnessError
 from repro.harness.cache import ResultCache, point_key
 from repro.harness.fleet import channel_trips_of
+from repro.options import RunOptions, ambient, overlay
 
 #: Scramble bases for the ambient-RNG guard (arbitrary, fixed).
 _GUARD_SEED = 0x5EED_CA5E
@@ -265,29 +268,38 @@ class PoolContext:
         }
 
 
-_active: Optional[PoolContext] = None
-
-
 @contextmanager
 def pool_session(config: Optional[PoolConfig] = None):
     """Install a :class:`PoolContext` as the ambient executor.
 
-    Sessions nest; the innermost wins, mirroring the obs/fault/flow
-    session idiom.
+    An overlay onto the :mod:`repro.options` stack: sessions nest and
+    the innermost wins.
     """
-    global _active
     ctx = PoolContext(config if config is not None else PoolConfig())
-    prev = _active
-    _active = ctx
-    try:
+    with overlay(pool=ctx):
         yield ctx
-    finally:
-        _active = prev
 
 
-def active_pool() -> Optional[PoolContext]:
-    """The innermost active pool context, if any."""
-    return _active
+@contextmanager
+def harness_session(
+    options: Optional[RunOptions], config: PoolConfig, collect: bool
+):
+    """The ambient frame of one harness invocation (figure or sweep).
+
+    Installs ``options`` (``None`` keeps the ambient ones), a fresh
+    :class:`PoolContext` over ``config`` and, when an artifact is to be
+    written (``collect``), an :class:`~repro.obs.ObsSession` collecting
+    one snapshot per run. Yields ``(session, pool context, options)``;
+    ``session`` is ``None`` when nothing is collected here.
+    """
+    from repro.obs import ObsConfig, ObsSession
+
+    if options is None:
+        options = ambient().options
+    session = ObsSession(options.obs or ObsConfig()) if collect else None
+    ctx = PoolContext(config)
+    with overlay(options=options, pool=ctx), session or nullcontext():
+        yield session, ctx, options
 
 
 # ----------------------------------------------------------------------
@@ -343,12 +355,13 @@ def _execute_point(
     capture; otherwise (when records are still needed, e.g. to populate
     a cache entry) the point runs under its own private session.
     """
-    from repro.obs import ObsConfig, ObsSession, active_session
+    from repro.obs import ObsConfig, ObsSession
 
-    session = active_session()
+    frame = ambient()
+    session = frame.session
     own: Optional[ObsSession] = None
     if collect_obs and session is None:
-        own = ObsSession(ObsConfig())
+        own = ObsSession(frame.options.obs or ObsConfig())
         own.__enter__()
         session = own
     try:
@@ -892,9 +905,8 @@ def map_points(
     cases the cache cannot (poisoned points, cacheless sweeps, a parent
     killed between completions).
     """
-    ctx = pool if pool is not None else active_pool()
-    if ctx is None:
-        ctx = PoolContext(PoolConfig())
+    frame = ambient()
+    ctx = pool or frame.pool or PoolContext(PoolConfig())
     cache = ctx.cache
     resolved_tag = tag or _fn_tag(fn)
     if cache is not None and resolved_tag is None:
@@ -908,29 +920,12 @@ def map_points(
     # Observability records are captured per point whenever the caller
     # is collecting them (active ObsSession) or the cache needs them to
     # make entries replayable.
-    from repro.obs import active_session
-
-    parent_session = active_session()
+    parent_session = frame.session
     collect_obs = (
         parent_session is not None
         or cache is not None
         or ctx.config.journal is not None
     )
-
-    faults_plan = flow_cfg = obs_cfg = None
-    if cache is not None:
-        from repro.faults.context import active_fault_plan
-        from repro.flow.context import active_flow_config
-
-        faults_plan = active_fault_plan()
-        flow_cfg = active_flow_config()
-        # Timeline-bearing records are shaped differently from plain
-        # ones, so the flight-recorder config is part of the point's
-        # content address (only when on — plain caches stay valid).
-        if parent_session is not None:
-            tl = parent_session.config.timeline
-            if tl is not None and tl.enabled:
-                obs_cfg = tl
 
     specs: List[PointSpec] = []
     for params in grid:
@@ -942,9 +937,7 @@ def map_points(
                     params=params,
                     seed=seed,
                     costs=params.get("costs"),
-                    faults=faults_plan,
-                    flow=flow_cfg,
-                    obs=obs_cfg,
+                    options=frame.options,
                 )
             specs.append(
                 PointSpec(
@@ -958,12 +951,21 @@ def map_points(
     # running without a cache.
     journal = None
     if ctx.config.journal is not None:
-        from repro.harness.journal import SweepJournal, journal_fingerprint
+        from repro.harness.cache import cost_model_fingerprint, fingerprint
+        from repro.harness.journal import JOURNAL_SCHEMA, SweepJournal
 
-        fingerprint = journal_fingerprint(resolved_tag, specs)
+        # Pins the journal to this exact sweep: same tag, same points in
+        # the same order, same cost model, same run options.
+        header = fingerprint(
+            frame.options,
+            schema=JOURNAL_SCHEMA,
+            tag=resolved_tag,
+            points=[[dict(s.params), int(s.seed)] for s in specs],
+            costs=cost_model_fingerprint(None),
+        )
         if ctx.config.resume:
             for index, entry in SweepJournal.replay(
-                ctx.config.journal, fingerprint
+                ctx.config.journal, header
             ).items():
                 if index >= len(specs):
                     continue
@@ -979,7 +981,7 @@ def map_points(
                 )
         journal = SweepJournal.open(
             ctx.config.journal,
-            fingerprint,
+            header,
             len(specs),
             resume=ctx.config.resume,
         )

@@ -15,9 +15,9 @@ from typing import Iterable, Optional, Union
 from repro.harness.figures import FIGURES, run_figure
 
 
-def _figure_markdown(fig_id: str, profile: str) -> str:
+def _figure_markdown(fig_id: str, profile: str, pool) -> str:
     t0 = time.perf_counter()
-    data = run_figure(fig_id, profile)
+    data = run_figure(fig_id, profile, pool=pool)
     elapsed = time.perf_counter() - t0
     lines = [
         f"## {fig_id} — {data.title}",
@@ -42,6 +42,7 @@ def write_report(
     *,
     profile: str = "paper",
     figures: Optional[Iterable[str]] = None,
+    pool=None,
 ) -> Path:
     """Regenerate experiments and write a Markdown report.
 
@@ -53,6 +54,9 @@ def write_report(
         ``paper`` or ``quick``.
     figures:
         Experiment ids to include; defaults to the full registry.
+    pool:
+        Optional :class:`~repro.harness.pool.PoolConfig` for the
+        figures' grid points (worker processes, result cache).
 
     Returns
     -------
@@ -73,7 +77,7 @@ def write_report(
         "paper, not absolute numbers (see EXPERIMENTS.md).",
         "",
     ]
-    body = [_figure_markdown(fig_id, profile) for fig_id in ids]
+    body = [_figure_markdown(fig_id, profile, pool) for fig_id in ids]
     out = Path(path)
     out.write_text("\n".join(header + body))
     return out

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import HarnessError
+from repro.harness.pool import PoolConfig, harness_session, map_points
+from repro.options import RunOptions
 from repro.util.stats import mean_std
 from repro.util.tables import render_table
 
@@ -142,20 +143,10 @@ def run_sweep(
     seeds: Sequence[int] = (0,),
     metric: str = "value",
     metrics_path=None,
-    flow=None,
-    timeline=None,
-    parallel: int = 1,
-    cache_dir: Optional[Path] = None,
-    fresh: bool = False,
     tag: Optional[str] = None,
-    max_executions: Optional[int] = None,
-    status: bool = False,
-    status_json: Optional[Path] = None,
-    retries: int = 0,
-    point_timeout_s: Optional[float] = None,
-    journal: Optional[Path] = None,
-    resume: bool = False,
-    drain_signals: bool = False,
+    options: Optional[RunOptions] = None,
+    pool: Optional[PoolConfig] = None,
+    **pool_fields: Any,
 ) -> SweepResult:
     """Evaluate ``fn(seed=..., **params)`` over the cartesian grid.
 
@@ -175,55 +166,25 @@ def run_sweep(
         :class:`~repro.obs.config.ObsSession` and write the
         schema-versioned JSON artifact there (per-run snapshots with
         stage breakdowns; see :mod:`repro.harness.artifact`).
-    flow:
-        Optional :class:`~repro.flow.FlowConfig` (or spec string for
-        :meth:`~repro.flow.FlowConfig.parse`): run every cell with
-        credit-based flow control active.
-    timeline:
-        Optional :class:`~repro.obs.TimelineConfig`: attach the
-        flight recorder to every run, embedding per-run ``timeline``
-        blocks in the artifact (implies an ObsSession even without
-        ``metrics_path``).
-    parallel:
-        Worker processes for the point executor; 1 (default) runs the
-        grid serially in-process. The aggregated result is identical
-        either way — only wall-clock changes.
-    cache_dir:
-        Content-addressed result cache directory. Previously completed
-        identical points are replayed for free, newly executed points
-        are persisted as they finish (interrupted sweeps resume).
-    fresh:
-        Ignore existing cache entries (still writes fresh ones).
     tag:
-        Stable cache identity for ``fn``; required with ``cache_dir``
-        when ``fn`` is a lambda/closure/partial.
-    max_executions:
-        Execute at most this many points, then raise
-        :class:`~repro.harness.pool.SweepInterrupted` (cache hits are
-        free). Exists to exercise resumability.
-    status:
-        Render a live fleet-status line to stderr while points run.
-    status_json:
-        Rewrite this JSON file with live fleet status (queue depth,
-        hit rate, per-worker throughput, ETA) as points complete.
-    retries:
-        Extra attempts per point after a failure (seeded exponential
-        backoff between attempts). With retries on, a point that
-        fails every attempt is quarantined as a ``poisoned`` outcome
-        (``nan`` in its cell) instead of failing the sweep.
-    point_timeout_s:
-        Wall-clock budget per point in parallel runs; a worker stuck
-        past it is killed and the attempt counts as a failure.
-    journal:
-        Append-only JSONL journal of resolved points (fsync'd per
-        record) for crash recovery; see :mod:`repro.harness.journal`.
-    resume:
-        Replay a matching journal before executing anything, so a
-        sweep killed mid-flight continues from its last durable point.
-    drain_signals:
-        Handle SIGINT/SIGTERM as a graceful drain: finish in-flight
-        points, flush the journal and fleet status, then raise
-        :class:`~repro.harness.pool.SweepInterrupted`.
+        Stable cache identity for ``fn``; required with a cache
+        directory when ``fn`` is a lambda/closure/partial.
+    options:
+        The :class:`~repro.options.RunOptions` every point runs under
+        (faults, reliability, flow control, observability and its
+        timeline); ``None`` keeps the ambient ones. They are folded
+        into every cache key and the journal header, and listed in the
+        artifact's ``config`` block.
+    pool:
+        The :class:`~repro.harness.pool.PoolConfig` executing the grid:
+        worker processes (the aggregated result is identical at any
+        ``parallel``), the content-addressed result cache, the
+        crash-consistent journal, retries, fleet status. A point that
+        exhausts its retries or timeout is quarantined as ``nan``; a
+        plain sweep fails fast.
+    pool_fields:
+        Shorthand for ``PoolConfig`` fields (``parallel=4``,
+        ``cache_dir=...``, ``journal=...``), applied on top of ``pool``.
 
     Examples
     --------
@@ -242,49 +203,13 @@ def run_sweep(
         for combo in itertools.product(*(axes[n] for n in names))
     ]
 
-    fcfg = None
-    if flow is not None:
-        from repro.flow import FlowConfig
-
-        fcfg = flow if isinstance(flow, FlowConfig) else FlowConfig.parse(flow)
-        if not fcfg.enabled:
-            fcfg = None
-
-    from contextlib import ExitStack
-
-    from repro.harness.pool import PoolConfig, map_points, pool_session
-
-    pcfg = PoolConfig(
-        parallel=parallel,
-        cache_dir=cache_dir,
-        cache_read=not fresh,
-        cache_write=True,
-        max_executions=max_executions,
-        status=status,
-        status_json=status_json,
-        retries=retries,
-        point_timeout_s=point_timeout_s,
-        # Quarantine only when the caller opted into fault tolerance;
-        # a plain sweep still fails fast on the first point error.
-        quarantine=bool(retries or point_timeout_s is not None),
-        journal=journal,
-        resume=resume,
-        drain_signals=drain_signals,
+    config = replace(pool or PoolConfig(), **pool_fields)
+    config = replace(
+        config,
+        quarantine=bool(config.retries or config.point_timeout_s is not None),
     )
-
-    session = None
-    with ExitStack() as stack:
-        if fcfg is not None:
-            from repro.flow import FlowSession
-
-            stack.enter_context(FlowSession(fcfg))
-        if metrics_path is not None or timeline is not None:
-            from repro.obs import ObsConfig, ObsSession
-
-            session = stack.enter_context(
-                ObsSession(ObsConfig(timeline=timeline))
-            )
-        ctx = stack.enter_context(pool_session(pcfg))
+    collect = metrics_path is not None
+    with harness_session(options, config, collect) as (session, ctx, in_effect):
         outcomes = map_points(fn, combos, tag=tag, seeds=seeds)
 
     result = SweepResult(axes=dict(axes), metric=metric)
@@ -307,15 +232,13 @@ def run_sweep(
     if metrics_path is None:
         return result
 
-    from dataclasses import asdict as _asdict
-
     from repro.harness.artifact import build_metrics_payload, write_metrics_json
 
-    extra = {"axes": {n: list(axes[n]) for n in names}, "seeds": list(seeds)}
-    if fcfg is not None:
-        extra["flow"] = _asdict(fcfg)
-    if timeline is not None:
-        extra["timeline"] = _asdict(timeline)
+    extra = {
+        "axes": {n: list(axes[n]) for n in names},
+        "seeds": list(seeds),
+        **in_effect.describe(),
+    }
     payload = build_metrics_payload(
         target=f"sweep:{metric}",
         profile="custom",

@@ -183,48 +183,30 @@ CHECKERS: Dict[str, Checker] = {
 
 
 def validate_figure(
-    fig_id: str,
-    profile: str = "quick",
-    parallel: int = 1,
-    cache_dir=None,
-    retries: int = 0,
-    point_timeout_s=None,
+    fig_id: str, profile: str = "quick", pool=None
 ) -> CheckResult:
     """Regenerate one figure and check its shape claim.
 
-    ``parallel``/``cache_dir`` configure the sweep pool for the
-    figure's grid points (identical data, less wall-clock);
-    ``retries``/``point_timeout_s`` make a long validation run survive
-    worker crashes and hangs (see :mod:`repro.harness.pool`).
+    ``pool`` (a :class:`~repro.harness.pool.PoolConfig`) configures the
+    sweep pool for the figure's grid points: identical data, less
+    wall-clock, and a long validation run that survives worker crashes
+    and hangs.
     """
     checker = CHECKERS.get(fig_id)
     if checker is None:
         raise HarnessError(f"no checker for {fig_id!r}")
-    data = run_figure(
-        fig_id, profile, parallel=parallel, cache_dir=cache_dir,
-        retries=retries, point_timeout_s=point_timeout_s,
-    )
-    passed, details = checker(data)
+    passed, details = checker(run_figure(fig_id, profile, pool=pool))
     return CheckResult(fig_id=fig_id, passed=passed, details=details)
 
 
 def validate_reproduction(
     profile: str = "quick",
     figures: Optional[Iterable[str]] = None,
-    parallel: int = 1,
-    cache_dir=None,
-    retries: int = 0,
-    point_timeout_s=None,
+    pool=None,
 ) -> List[CheckResult]:
     """Check the shape claims of the given figures (default: all)."""
     ids = list(figures) if figures is not None else list(FIGURES)
-    return [
-        validate_figure(
-            fig_id, profile, parallel=parallel, cache_dir=cache_dir,
-            retries=retries, point_timeout_s=point_timeout_s,
-        )
-        for fig_id in ids
-    ]
+    return [validate_figure(fig_id, profile, pool=pool) for fig_id in ids]
 
 
 def render_results(results: List[CheckResult]) -> str:

@@ -20,7 +20,7 @@ layer for utilization, which must not be imported from here at runtime
 construction time).
 """
 
-from repro.obs.config import ObsConfig, ObsSession, active_session
+from repro.obs.config import ObsConfig, ObsSession
 from repro.obs.hist import Log2Histogram
 from repro.obs.registry import Metric, MetricsRegistry, registry_from_runtime
 from repro.obs.spans import LATENCY_STAGES, STAGES, MsgSpan, StageLatency
@@ -39,7 +39,6 @@ __all__ = [
     "TIMELINE_SCHEMA",
     "TimelineConfig",
     "TimelineRecorder",
-    "active_session",
     "registry_from_runtime",
     "run_snapshot",
 ]

@@ -7,7 +7,8 @@ with an enabled config. With no config (or ``enabled=False``) the hot
 path pays exactly one ``is None`` check per message hop — the guard
 bench ``benchmarks/bench_obs_overhead.py`` enforces this stays <5%.
 
-:class:`ObsSession` is the harness-facing context manager: runtimes
+:class:`ObsSession` is the harness-facing context manager, an overlay
+onto the ambient :class:`~repro.options.RunOptions`: runtimes
 constructed inside it pick up the session's config automatically and
 report a full snapshot after each ``run()``, which the harness folds
 into the ``--metrics-out`` JSON artifact::
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.obs.timeline import TimelineConfig
-
-_active: Optional["ObsSession"] = None
+from repro.options import Ambient, OptionsOverlay
 
 
 @dataclass(frozen=True)
@@ -43,32 +43,24 @@ class ObsConfig:
     timeline: Optional[TimelineConfig] = None
 
 
-class ObsSession:
+class ObsSession(OptionsOverlay):
     """Collects one snapshot per completed ``RuntimeSystem.run()``.
 
-    Entering installs the session globally; runtimes created while it is
-    active inherit ``config`` and call :meth:`update` after every run.
-    Snapshots are keyed per runtime (a later ``run()`` on the same
-    runtime replaces its earlier snapshot). Sessions nest: the inner one
-    wins until it exits.
+    Entering installs the session and its config on the ambient stack;
+    runtimes created while it is innermost inherit ``config`` and call
+    :meth:`update` after every run. Snapshots are keyed per runtime (a
+    later ``run()`` on the same runtime replaces its earlier snapshot).
+    Sessions nest: the inner one wins until it exits.
     """
 
     def __init__(self, config: Optional[ObsConfig] = None) -> None:
         self.config = config if config is not None else ObsConfig()
+        super().__init__(obs=self.config)
         self._snapshots: Dict[int, dict] = {}
         self._keys = itertools.count()
-        self._prev: Optional["ObsSession"] = None
 
-    def __enter__(self) -> "ObsSession":
-        global _active
-        self._prev = _active
-        _active = self
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        global _active
-        _active = self._prev
-        self._prev = None
+    def frame(self, outer: Ambient) -> Ambient:
+        return super().frame(outer)._replace(session=self)
 
     def update(self, rt: Any, run_stats: Any = None) -> None:
         """Capture (or refresh) the snapshot for one runtime."""
@@ -101,8 +93,3 @@ class ObsSession:
     def records(self) -> List[dict]:
         """Captured snapshots, in runtime-creation order."""
         return [self._snapshots[k] for k in sorted(self._snapshots)]
-
-
-def active_session() -> Optional[ObsSession]:
-    """The innermost active :class:`ObsSession`, if any."""
-    return _active

@@ -17,21 +17,21 @@ a finished run drains naturally.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigError, DeliveryError
-from repro.faults.context import active_fault_session
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.flow.config import FlowConfig
-from repro.flow.context import active_flow_session
 from repro.flow.controller import FlowController
 from repro.machine.costs import CostModel
 from repro.machine.topology import MachineConfig
 from repro.network.fabric import Fabric
 from repro.network.nic import Nic
-from repro.obs.config import ObsConfig, active_session
+from repro.obs.config import ObsConfig
 from repro.obs.timeline import TimelineRecorder
+from repro.options import ambient
 from repro.runtime.commthread import CommThread
 from repro.runtime.node import Node
 from repro.runtime.proc import Process
@@ -56,27 +56,14 @@ class RuntimeSystem:
         Root seed for all named RNG streams.
     tracer:
         Optional tracer threaded into the engine.
-    obs:
-        Optional :class:`~repro.obs.config.ObsConfig` enabling
-        stage-attributed latency spans. Defaults to the config of the
-        active :class:`~repro.obs.config.ObsSession`, if any; otherwise
-        instrumentation is off.
-    faults:
-        Optional :class:`~repro.faults.FaultPlan`. Defaults to the plan
-        of the active :class:`~repro.faults.FaultSession`, if any; with
-        neither (or a no-op plan) the transport is fault-free and pays
-        one ``is None`` check per hop.
-    reliability:
-        Optional :class:`~repro.runtime.reliability.ReliabilityConfig`
-        enabling the ack/retransmit layer. Defaults to the active fault
-        session's config (enabled under a session, so faulty runs still
-        deliver exactly once); ``None`` otherwise.
-    flow:
-        Optional :class:`~repro.flow.FlowConfig` enabling credit-based
-        flow control and overload protection. Defaults to the config of
-        the active :class:`~repro.flow.FlowSession`, if any; with
-        neither (or a disabled config) the pipeline is unbounded and
-        pays one ``is None`` check per message.
+    obs / faults / reliability / flow:
+        Optional overrides of the ambient
+        :class:`~repro.options.RunOptions` fields of the same names
+        (see :mod:`repro.options`): stage-attributed latency spans plus
+        the flight recorder, the fault plan, the ack/retransmit layer,
+        and credit-based flow control. Each is off by default; an off
+        subsystem is ``None`` on the runtime and costs one ``is None``
+        check per hop.
     """
 
     def __init__(
@@ -90,13 +77,22 @@ class RuntimeSystem:
         reliability: Optional[ReliabilityConfig] = None,
         flow: Optional[FlowConfig] = None,
     ) -> None:
-        session = active_session()
-        if obs is None and session is not None:
-            obs = session.config
-        self.obs = obs
+        frame = ambient()
+        options = frame.options
+        explicit = {
+            name: value
+            for name, value in (
+                ("obs", obs), ("faults", faults),
+                ("reliability", reliability), ("flow", flow),
+            )
+            if value is not None
+        }
+        if explicit:
+            options = dataclasses.replace(options, **explicit)
+        self.obs = obs = options.obs
         #: Whether schemes should attach spans / stage histograms.
         self.obs_enabled = obs is not None and obs.enabled
-        self._obs_session = session if self.obs_enabled else None
+        self._obs_session = frame.session if self.obs_enabled else None
         #: Scheme instances attached to this runtime (self-registered by
         #: SchemeBase; drives per-scheme metrics and snapshots).
         self.schemes: List[Any] = []
@@ -114,12 +110,7 @@ class RuntimeSystem:
         self.transport = Transport(self)
         self._handlers: Dict[str, Callable] = {}
 
-        fault_session = active_fault_session()
-        plan = faults
-        if plan is None and fault_session is not None:
-            plan = fault_session.plan
-        if plan is not None and plan.is_noop():
-            plan = None
+        plan = options.faults
         #: Fault injector, or ``None`` (the default, zero-cost case).
         self.faults: Optional[FaultInjector] = (
             FaultInjector(plan=plan, rng=self.rng.stream("faults"))
@@ -131,13 +122,10 @@ class RuntimeSystem:
         #: false for both ``None`` and the empty set); a live set of
         #: currently-dead process ids otherwise.
         self.dead_procs: Optional[set] = None
-        rel_cfg = reliability
-        if rel_cfg is None and fault_session is not None:
-            rel_cfg = fault_session.reliability
         #: Reliable-delivery layer, or ``None`` (the default).
         self.reliable: Optional[ReliableDelivery] = (
-            ReliableDelivery(self, rel_cfg)
-            if rel_cfg is not None and rel_cfg.enabled
+            ReliableDelivery(self, options.reliability)
+            if options.reliability is not None
             else None
         )
 
@@ -158,16 +146,12 @@ class RuntimeSystem:
                 ct.on_outbound_done = self.transport.after_commthread_out
                 proc.commthread = ct
 
-        flow_session = active_flow_session()
-        flow_cfg = flow
-        if flow_cfg is None and flow_session is not None:
-            flow_cfg = flow_session.config
-        if flow_cfg is not None and not flow_cfg.enabled:
-            flow_cfg = None
         #: Flow controller, or ``None`` (the default, zero-cost case).
         #: Built after nodes/comm threads so its gates can attach.
         self.flow: Optional[FlowController] = (
-            FlowController(self, flow_cfg) if flow_cfg is not None else None
+            FlowController(self, options.flow)
+            if options.flow is not None
+            else None
         )
 
         #: Flight recorder, or ``None`` (the default). Built last so its
@@ -175,8 +159,6 @@ class RuntimeSystem:
         #: boundary sampler (the engine's fast loop then also stops at
         #: each sample boundary).
         tl_cfg = obs.timeline if obs is not None else None
-        if tl_cfg is not None and not tl_cfg.enabled:
-            tl_cfg = None
         self.timeline: Optional[TimelineRecorder] = (
             TimelineRecorder(self, tl_cfg) if tl_cfg is not None else None
         )

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.errors import ConfigError, FlowControlError
-from repro.flow import (
-    FlowConfig,
-    FlowSession,
-    active_flow_config,
-    active_flow_session,
-)
+from repro.flow import FlowConfig, FlowSession
+from repro.options import active_options
 
 
 class TestValidation:
@@ -79,20 +75,18 @@ class TestParse:
 
 class TestSession:
     def test_session_sets_and_restores(self):
-        assert active_flow_session() is None
+        assert active_options().flow is None
         cfg = FlowConfig(ct_max_msgs=3)
-        with FlowSession(cfg) as session:
-            assert active_flow_session() is session
-            assert active_flow_config() == cfg
-        assert active_flow_session() is None
-        assert active_flow_config() is None
+        with FlowSession(cfg):
+            assert active_options().flow == cfg
+        assert active_options().flow is None
 
     def test_sessions_nest(self):
         outer, inner = FlowConfig(ct_max_msgs=3), FlowConfig(ct_max_msgs=5)
         with FlowSession(outer):
             with FlowSession(inner):
-                assert active_flow_config() == inner
-            assert active_flow_config() == outer
+                assert active_options().flow == inner
+            assert active_options().flow == outer
 
     def test_runtime_picks_up_session(self):
         from repro.machine import MachineConfig

@@ -9,6 +9,7 @@ from repro.machine import MachineConfig
 from repro.obs import ObsConfig
 from repro.obs.registry import registry_from_runtime
 from repro.obs.snapshot import run_snapshot
+from repro.options import RunOptions, active_options
 from repro.runtime.system import RuntimeSystem
 from repro.tram import TramConfig, make_scheme
 
@@ -133,7 +134,7 @@ class TestRunFigure:
 
         out = tmp_path / "fig3.json"
         run_figure("fig3", "quick", metrics_path=out,
-                   flow="ct_msgs=4,ct_bytes=8192")
+                   options=RunOptions(flow="ct_msgs=4,ct_bytes=8192"))
         payload = json.loads(out.read_text())
         assert validate_metrics_payload(payload) == []
         assert payload["config"]["flow"]["ct_max_msgs"] == 4
@@ -145,7 +146,9 @@ class TestRunFigure:
     def test_disabled_spec_is_fast_path(self):
         from repro.harness.figures import run_figure
 
-        data = run_figure("fig3", "quick", flow=FlowConfig(enabled=False))
+        data = run_figure(
+            "fig3", "quick", options=RunOptions(flow=FlowConfig(enabled=False))
+        )
         assert data.fig_id == "fig3"
 
 
@@ -161,6 +164,32 @@ class TestCli:
 
         assert main(["fig3", "--flow", "bogus=1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--faults", "drop=0.01"],
+        ["validate", "--flow", "ct_msgs=8"],
+        ["validate", "--timeline"],
+        ["validate", "--metrics-out", "m.json"],
+        ["report", "--faults", "drop=0.01"],
+        ["report", "--flow", "ct_msgs=8"],
+        ["report", "--timeline"],
+        ["report", "--metrics-out", "m.json"],
+        ["fig3", "--journal", "j.jsonl"],
+        ["fig3", "--resume"],
+        ["fig3", "--max-points", "1"],
+        ["all", "--journal", "j.jsonl"],
+        ["all", "--resume"],
+        ["all", "--max-points", "1"],
+    ])
+    def test_dropped_flag_refused(self, argv, tmp_path, monkeypatch, capsys):
+        from repro.harness.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert argv[1] in err
+        assert list(tmp_path.iterdir()) == []  # refused before running
+
 
 class TestSweep:
     def test_sweep_runs_under_flow_session(self):
@@ -169,11 +198,9 @@ class TestSweep:
         calls = []
 
         def fn(x, seed):
-            from repro.flow import active_flow_config
-
-            calls.append(active_flow_config())
+            calls.append(active_options().flow)
             return float(x)
 
-        res = run_sweep(fn, {"x": [1, 2]}, flow="ct_msgs=3")
+        res = run_sweep(fn, {"x": [1, 2]}, options=RunOptions(flow="ct_msgs=3"))
         assert [c.mean for c in res.cells] == [1.0, 2.0]
         assert all(c is not None and c.ct_max_msgs == 3 for c in calls)

@@ -116,6 +116,22 @@ class TestQuickFigures:
         assert rejected["PP"] < 0.95 * rejected["WW"]
 
 
+class TestFigureMemo:
+    def test_memo_never_leaks_across_run_options(self):
+        """fig12/fig13 share a memoized sweep; a result computed under
+        faults must not answer a later clean call."""
+        from repro.faults import FaultPlan, FaultSession
+        from repro.harness.figures import _ig_sweep, fig13
+
+        with FaultSession(FaultPlan.parse("drop=0.05")):
+            faulty = fig13("quick")
+        after = fig13("quick")
+        _ig_sweep.cache_clear()
+        clean = fig13("quick")
+        assert [s.y for s in after.series] == [s.y for s in clean.series]
+        assert [s.y for s in faulty.series] != [s.y for s in clean.series]
+
+
 class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -159,7 +175,7 @@ class TestReport:
             return path
 
         monkeypatch.setattr(report_mod, "write_report",
-                            lambda path, profile: fake(path, profile))
+                            lambda path, profile, **kw: fake(path, profile))
         assert main(["report", "--profile", "quick",
                      "--out", str(tmp_path)]) == 0
         assert called["profile"] == "quick"

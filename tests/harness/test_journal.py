@@ -1,13 +1,23 @@
 """Tests for the crash-consistent sweep journal."""
 
+import functools
 import json
 
-from repro.harness.journal import (
-    JOURNAL_SCHEMA,
-    SweepJournal,
-    journal_fingerprint,
-)
-from repro.harness.pool import PointOutcome, PointSpec
+from repro.flow import FlowConfig, FlowSession
+from repro.harness.cache import fingerprint
+from repro.harness.journal import JOURNAL_SCHEMA, SweepJournal
+from repro.harness.pool import PointOutcome, PointSpec, run_app_point
+from repro.harness.sweep import run_sweep
+from repro.options import RunOptions
+
+
+def journal_fingerprint(tag, specs, options=None):
+    return fingerprint(
+        options,
+        schema=JOURNAL_SCHEMA,
+        tag=tag,
+        points=[[dict(s.params), s.seed] for s in specs],
+    )
 
 
 def _specs(n=3, tag_seed=0):
@@ -35,6 +45,16 @@ class TestFingerprint:
         assert journal_fingerprint("u", _specs()) != base
         assert journal_fingerprint("t", _specs(tag_seed=1)) != base
         assert journal_fingerprint("t", _specs(n=2)) != base
+
+    def test_sensitive_to_run_options(self):
+        base = journal_fingerprint("t", _specs())
+        flowed = RunOptions(flow="ct_msgs=2")
+        assert journal_fingerprint("t", _specs(), flowed) != base
+        lossy = RunOptions(faults="drop=0.05", reliability=None)
+        reliable = RunOptions(faults="drop=0.05")
+        assert journal_fingerprint("t", _specs(), lossy) != (
+            journal_fingerprint("t", _specs(), reliable)
+        )
 
 
 class TestWriteAndReplay:
@@ -162,3 +182,31 @@ class TestRotation:
         # The stale journal was rotated out, never replayed into "t".
         assert SweepJournal.replay(path, fp) == {}
         assert SweepJournal.replay(path, old) == {}
+
+
+_HISTO = functools.partial(
+    run_app_point, "histogram", "total_time_ns",
+    updates_per_pe=200, buffer_items=16, batch=100,
+)
+_AXES = {"nodes": [2], "scheme": ["WW", "WPs"]}
+
+
+class TestRunOptionsGuard:
+    def test_resume_never_replays_across_run_options(self, tmp_path):
+        """A journal written under flow control must not answer a
+        resumed sweep without it: the header folds in the run options."""
+        journal = tmp_path / "sweep.jsonl"
+        flow = FlowConfig.parse("ct_msgs=2,ct_bytes=4096,overload=20000,clear=5000")
+        with FlowSession(flow):
+            flowed = run_sweep(_HISTO, _AXES, tag="probe", journal=journal)
+        resumed = run_sweep(
+            _HISTO, _AXES, tag="probe", journal=journal, resume=True
+        )
+        plain = run_sweep(_HISTO, _AXES, tag="probe")
+        assert resumed.pool["summary"]["executed"] == 2
+        assert [c.values for c in resumed.cells] == [
+            c.values for c in plain.cells
+        ]
+        assert [c.values for c in flowed.cells] != [
+            c.values for c in plain.cells
+        ]

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import HarnessError
+from repro.faults import FaultPlan, FaultSession
 from repro.harness import cli
 from repro.harness.artifact import (
     canonical_metrics_bytes,
@@ -26,6 +27,7 @@ from repro.harness.pool import (
     run_app_point,
 )
 from repro.harness.sweep import run_sweep
+from repro.options import RunOptions
 
 # ----------------------------------------------------------------------
 # Module-level point functions (stable tags; visible to forked workers)
@@ -118,11 +120,10 @@ class TestPointKey:
         assert point_key(tag="t", params={"x": 1}, seed=1) != base
 
     def test_fault_plan_folds_in(self):
-        from repro.faults import FaultPlan
-
         clean = point_key(tag="t", params={}, seed=0)
         faulty = point_key(
-            tag="t", params={}, seed=0, faults=FaultPlan.parse("drop=0.01"),
+            tag="t", params={}, seed=0,
+            options=RunOptions(faults=FaultPlan.parse("drop=0.01")),
         )
         assert clean != faulty
 
@@ -131,9 +132,31 @@ class TestPointKey:
 
         clean = point_key(tag="t", params={}, seed=0)
         flowed = point_key(
-            tag="t", params={}, seed=0, flow=FlowConfig.parse("ct_msgs=8"),
+            tag="t", params={}, seed=0,
+            options=RunOptions(flow=FlowConfig.parse("ct_msgs=8")),
         )
         assert clean != flowed
+
+    def test_all_off_key_is_pinned(self):
+        """Keys of runs with every option off never move, so existing
+        result caches stay valid across releases."""
+        assert point_key(tag="t", params={"x": 1}, seed=0) == (
+            "1497f4b10b7b4d064dabb530fdb54450f5afce19e384df5fcb3d53c5f5052367"
+        )
+        assert point_key(
+            tag="t", params={"x": 1}, seed=0, options=RunOptions()
+        ) == point_key(tag="t", params={"x": 1}, seed=0)
+
+    def test_reliability_folds_in(self):
+        plan = FaultPlan.parse("drop=0.01")
+        reliable = point_key(
+            tag="t", params={}, seed=0, options=RunOptions(faults=plan)
+        )
+        lossy = point_key(
+            tag="t", params={}, seed=0,
+            options=RunOptions(faults=plan, reliability=None),
+        )
+        assert reliable != lossy
 
     def test_cost_model_folds_in(self):
         from repro.machine.costs import CostModel
@@ -304,6 +327,17 @@ class TestMapPointsParallel:
             par = map_points(_ambient, [{"x": 0}, {"x": 1}])
         assert par[0].value != serial[0].value
 
+    def test_lossy_run_never_hits_reliable_cache_entry(self, tmp_path):
+        """Dropping reliability changes the result (here: the run fails
+        quiescence), so it must not replay a reliable run's entry."""
+        axes = {"nodes": [2], "scheme": ["WW"]}
+        plan = FaultPlan.parse("drop=0.05")
+        with FaultSession(plan):
+            run_sweep(_HISTO, axes, tag=_HISTO_TAG, cache_dir=tmp_path)
+        with FaultSession(plan, reliability=None):
+            with pytest.raises(HarnessError, match="QuiescenceError"):
+                run_sweep(_HISTO, axes, tag=_HISTO_TAG, cache_dir=tmp_path)
+
     def test_parallel_populates_shared_cache(self, tmp_path):
         grid = [{"x": i} for i in range(4)]
         with pool_session(PoolConfig(parallel=2, cache_dir=tmp_path)):
@@ -446,6 +480,18 @@ class TestSweepCli:
         payload = json.loads(path.read_text())
         assert validate_metrics_payload(payload) == []
         assert payload["provenance"]["summary"]["n_points"] == 2
+
+    def test_sweep_honours_faults(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        rc = cli.main(self.ARGS + [
+            "--no-cache", "--faults", "drop=0.2", "--metrics-out", str(path),
+        ])
+        assert rc == 0
+        payload = json.loads(path.read_text())
+        assert validate_metrics_payload(payload) == []
+        assert payload["config"]["faults"]["drop"] == 0.2
+        assert payload["runs"]
+        assert all(run["faults"] is not None for run in payload["runs"])
 
     def test_sweep_needs_axes(self, capsys):
         rc = cli.main(["sweep", "--app", "histogram"])

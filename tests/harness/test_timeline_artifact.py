@@ -17,7 +17,8 @@ from repro.harness.timeline_plot import (
     run_timeline_plot,
 )
 from repro.machine import MachineConfig
-from repro.obs import TimelineConfig
+from repro.obs import ObsConfig, TimelineConfig
+from repro.options import RunOptions
 
 
 def _point(nodes, seed):
@@ -47,13 +48,14 @@ def _point(nodes, seed):
 
 AXES = {"nodes": [1, 2]}
 TL = TimelineConfig(cadence_ns=1_000.0)
+TL_OPTIONS = RunOptions(obs=ObsConfig(timeline=TL))
 
 
 @pytest.fixture(scope="module")
 def timeline_artifact(tmp_path_factory):
     path = tmp_path_factory.mktemp("tla") / "metrics.json"
     run_sweep(_point, AXES, seeds=(0, 1), metrics_path=path,
-              timeline=TL, tag="tla")
+              options=TL_OPTIONS, tag="tla")
     return path, json.loads(path.read_text())
 
 
@@ -155,7 +157,7 @@ class TestScheduleIndependence:
         for parallel in (1, 2):
             path = tmp_path / f"p{parallel}.json"
             run_sweep(_point, AXES, seeds=(0, 1), metrics_path=path,
-                      timeline=TL, parallel=parallel, tag="tla")
+                      options=TL_OPTIONS, parallel=parallel, tag="tla")
             payloads.append(json.loads(path.read_text()))
         assert (
             canonical_metrics_bytes(payloads[0])

@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro.machine import MachineConfig
-from repro.obs import ObsConfig, ObsSession, active_session, run_snapshot
+from repro.obs import ObsConfig, ObsSession, run_snapshot
+from repro.options import ambient
 from repro.runtime.system import RuntimeSystem
 from repro.tram import TramConfig, make_scheme
 
@@ -97,12 +98,12 @@ class TestSessionCapture:
     def test_nesting_inner_wins_outer_restored(self):
         with ObsSession() as outer:
             with ObsSession() as inner:
-                assert active_session() is inner
+                assert ambient().session is inner
                 rt, tram = _build()
                 _traffic(rt, tram)
                 rt.run()
-            assert active_session() is outer
-        assert active_session() is None
+            assert ambient().session is outer
+        assert ambient().session is None
         assert len(inner.records) == 1
         assert outer.records == []
 
