@@ -44,7 +44,7 @@ SCHEME_ROUNDS = 5      # driver tasks per worker
 SCHEMES = ("WW", "WPs", "WsP", "PP")
 
 #: Pinned flush-heavy config (one point of fig 11's sweep: small z, so
-#: buffers rarely fill and timer/flush traffic dominates).
+#: buffers rarely fill); sizes the synthetic parked-timer bench.
 FIG11_POINT = dict(nodes=4, updates_per_pe=600, buffer_items=64, batch=500)
 
 
@@ -98,9 +98,12 @@ def bench_event_chain_internal(n: int = 200_000):
 
 
 def bench_timer_churn(steps: int = 2000, burst: int = 50):
-    """Flush-timer pattern: arm a burst of timeouts far in the future,
-    cancel them shortly after, repeat. Corpses pile up ~1000 steps deep,
-    which is the regime lazy-deleting heaps handle worst."""
+    """Cancel-heavy timer stress: arm a burst of timeouts far in the
+    future, cancel them one step later, repeat. Corpses pile up in the
+    timer queue until auto-compaction trips, which is the regime a
+    lazy-deleting heap handles worst. No measured workload cancels at
+    this rate: the only one that arms timers (``reliable-ig`` in
+    ``benchmarks/e2e``) sees 80% of them fire."""
     eng = Engine()
     arm = getattr(eng, "timer_after", eng.after)
     pending = []
@@ -127,19 +130,17 @@ def bench_timer_churn(steps: int = 2000, burst: int = 50):
 
 
 def bench_flush_heavy_fig11():
-    """Engine-level replay of fig 11's WW flush-timer schedule.
+    """Synthetic parked-timer schedule sized from the fig 11 point.
 
-    Fig 11 (WW, small z) is the flush-heavy regime: every one of the
-    t*p per-destination buffers arms a flush timeout and almost none
-    fill, so the event queue carries the full buffer population as
-    *parked* timers while ordinary insert/delivery events stream
-    through it.  On a lazy-deletion heap each of those ordinary events
-    pays O(log n) over the inflated heap; the wheel keeps parked timers
-    out of the heap entirely.  This bench replays that schedule at the
-    pinned fig 11 point — W^2 parked timers (WW at 4 nodes => 32*32
-    buffers), one chain event per histogram update, and a capacity-send
-    cancel+re-arm every g items — without the scheme-layer Python that
-    dominates an end-to-end run and would mask the engine.
+    If WW at the pinned fig 11 point (4 nodes, small z) armed a flush
+    timeout per buffer, the engine would carry the whole t*p buffer
+    population as *parked* timers while ordinary insert/delivery events
+    stream past them. Fig 11 itself parks none: ``run_histogram`` sets
+    no ``flush_timeout_ns``. This bench builds that schedule directly —
+    W^2 parked timers (32*32 buffers), one chain event per histogram
+    update, and a cancel+re-arm every g items — to measure what a deep
+    timer population costs the main-queue events; the timer queue
+    keeps the parked timers out of the main heap.
     """
     from repro.harness.figures import scaled_machine
 

@@ -342,8 +342,8 @@ class ReliableDelivery:
         self._maybe_piggyback(msg, src_process)
         entry = _Pending(msg=msg, first_send_time=self.rt.engine.now)
         ch.pending[msg.seq] = entry
-        # Timer-wheel timeout: retransmit timers are almost always
-        # cancelled by the ack before they fire.
+        # Armed with timer_after so it waits in the engine's timer
+        # queue; the ack usually cancels it before it fires.
         entry.timer = self.rt.engine.timer_after(
             self.config.retransmit_timeout_ns,
             self._on_timeout,

@@ -8,14 +8,14 @@ Public surface
 --------------
 :class:`~repro.sim.engine.Engine`
     The event loop: schedule callbacks at absolute or relative simulated
-    times (heap-ordered ``at``/``after``, no-handle ``call_at`` /
-    ``call_after``, wheel-backed ``timer_at``/``timer_after``), run to
-    exhaustion or to a horizon.
+    times (``at``/``after``, no-handle ``call_at`` / ``call_after``, and
+    ``timer_at``/``timer_after`` for timeouts, which wait in a second
+    queue), run to exhaustion or to a horizon.
 :func:`~repro.sim.event.Event`
     Factory for a cancellable scheduled callback (a plain list; see
     :mod:`repro.sim.event` for the representation).
-:class:`~repro.sim.wheel.TimerWheel`
-    O(1) arm/cancel structure for timeout-class events.
+:class:`~repro.sim.queue.EventQueue`
+    The lazy-deletion binary heap behind both of the engine's queues.
 :class:`~repro.sim.rng.RngStreams`
     Named, independently-seeded ``numpy`` generator streams so that every
     component draws from its own reproducible stream.
@@ -31,7 +31,6 @@ from repro.sim.queue import EventQueue
 from repro.sim.rng import RngStreams
 from repro.sim.simtime import MS, NS, SEC, US, fmt_time
 from repro.sim.trace import Tracer
-from repro.sim.wheel import TimerWheel
 
 __all__ = [
     "Engine",
@@ -43,7 +42,6 @@ __all__ = [
     "RunStats",
     "SEC",
     "Tracer",
-    "TimerWheel",
     "US",
     "fmt_time",
 ]

@@ -1,34 +1,34 @@
 """The discrete-event simulation engine.
 
-The engine owns the simulated clock and two event sources it merges into
-one deterministic stream:
+The engine owns the simulated clock and two event queues, both
+:class:`~repro.sim.queue.EventQueue` lazy-deletion binary heaps, which
+it merges into one deterministic stream:
 
-* a binary heap (:class:`~repro.sim.queue.EventQueue`) for
-  precise-ordering events — the default for :meth:`Engine.at` /
+* the main queue, for everything scheduled through :meth:`Engine.at` /
   :meth:`Engine.after` and the no-handle fast paths
-  :meth:`Engine.call_at` / :meth:`Engine.call_after`;
-* a hierarchical timer wheel (:class:`~repro.sim.wheel.TimerWheel`) for
-  timeout-class events armed through :meth:`Engine.timer_at` /
-  :meth:`Engine.timer_after` — flush timeouts, retransmit timers,
-  credit-release timers — which are cancelled far more often than they
-  fire and would otherwise bloat the heap with corpses.
+  :meth:`Engine.call_at` / :meth:`Engine.call_after` /
+  :meth:`Engine.wire_call_at`;
+* the timer queue, for timeouts armed through :meth:`Engine.timer_at` /
+  :meth:`Engine.timer_after`: retransmit and ack timers, credit
+  releases, quiescence polls, and flush timeouts when a scheme sets
+  one. Keeping them apart means a population of long-deadline timers
+  never deepens the heap the ordinary events stream through.
 
 Running to event-queue exhaustion is the simulator's notion of
 *quiescence* — the applications in :mod:`repro.apps` are written so that
-a finished run drains naturally (flush timers are one-shot and
-conditional).
+a finished run drains naturally (timers are one-shot and conditional).
 
 Determinism
 -----------
 Two runs with the same configuration and seeds execute the identical
-event sequence: ties in firing time are broken by insertion order
-(``seq``), and all randomness flows through
-:class:`repro.sim.rng.RngStreams`. The wheel/heap split cannot reorder
-anything: both sources surface their earliest live event and the engine
-compares the two ``[time, seq, ...]`` lists directly, so the merged
+event sequence: ties in firing time are broken by ``seq``, and all
+randomness flows through :class:`repro.sim.rng.RngStreams`. The two
+queues cannot reorder anything: the run loops compare the two live
+heads as ``[time, seq, ...]`` lists and fire the smaller, so the merged
 stream is the exact ``(time, seq)`` total order regardless of which
-structure an event waited in. ``tests/properties/test_prop_sim.py``
-pins this with a randomized heap-only-vs-wheel equivalence test.
+queue an event waited in. ``tests/properties/test_prop_sim.py`` pins
+this with a randomized ``after``-versus-``timer_after`` equivalence
+test on single- and multi-owner engines.
 
 Owner-slot sequence numbers
 ---------------------------
@@ -44,6 +44,9 @@ owner pair* for cross-node wire events. Each slot's counter advances
 only from causally-local activity; the encoding fixes the tie order of
 same-time events in multi-node runs, so changing it changes artifact
 bytes. With a single owner the encoding collapses to ``seq = counter``.
+Seqs are unique but not monotone in arm order across owners: a callback
+can schedule an event at ``now`` whose seq is smaller than that of an
+event already queued for ``now``.
 
 Events are plain lists (see :mod:`repro.sim.event`): slot 2 is the
 state, and the list itself is the cancellation handle.
@@ -56,10 +59,9 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.event import ST_CONSUMED, ST_PENDING, ST_POOLED, ST_WHEEL
+from repro.sim.event import ST_CONSUMED, ST_PENDING, ST_POOLED, ST_TIMER
 from repro.sim.queue import EventQueue
 from repro.sim.trace import Tracer
-from repro.sim.wheel import TimerWheel
 
 _heappush = heappush
 _heappop = heappop
@@ -107,8 +109,9 @@ class Engine:
         "sampler",
         "current_owner",
         "_queue",
-        "_wheel",
+        "_timers",
         "_heap",
+        "_theap",
         "_pool",
         "_owner_seq",
         "_n_owners",
@@ -134,10 +137,11 @@ class Engine:
         self.current_owner = 0
         self.now = now
         self._queue = EventQueue()
-        self._wheel = TimerWheel()
-        #: Alias of the queue's heap list; EventQueue.compact() rebuilds
-        #: it in place so this alias never goes stale.
+        self._timers = EventQueue()
+        #: Aliases of the two queues' heap lists; EventQueue.compact()
+        #: rebuilds in place so these aliases never go stale.
         self._heap = self._queue._heap
+        self._theap = self._timers._heap
         self._pool: list = []
         self._n_owners = 1
         self._n_slots = 1
@@ -172,7 +176,7 @@ class Engine:
         self.current_owner = 0
 
     # ------------------------------------------------------------------
-    # Scheduling — precise-ordering heap
+    # Scheduling — main queue
     # ------------------------------------------------------------------
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> list:
         """Schedule ``fn(*args)`` at absolute simulated time ``time``.
@@ -299,15 +303,15 @@ class Engine:
         _heappush(self._heap, ev)
 
     # ------------------------------------------------------------------
-    # Scheduling — timer wheel (timeout-class events)
+    # Scheduling — timer queue (timeouts)
     # ------------------------------------------------------------------
     def timer_at(self, time: float, fn: Callable[..., Any], *args: Any) -> list:
-        """Arm a timeout at absolute time ``time``; O(1) arm and cancel.
+        """Arm a timeout at absolute time ``time``.
 
-        Identical observable semantics to :meth:`at` — the wheel and the
-        heap are merged in exact ``(time, seq)`` order — but backed by
-        the timer wheel, which is the right home for events that are
-        usually cancelled before they fire."""
+        Identical observable semantics to :meth:`at` — the two queues
+        are merged in exact ``(time, seq)`` order — but the event waits
+        in the timer queue, so parked timeouts never deepen the main
+        heap."""
         if time < self.now:
             raise SchedulingError(
                 f"cannot schedule at t={time} (now={self.now}): time is in the past"
@@ -316,8 +320,8 @@ class Engine:
         seqs = self._owner_seq
         oseq = seqs[cur]
         seqs[cur] = oseq + 1
-        ev = [time, oseq * self._n_slots + cur, ST_WHEEL, fn, args]
-        self._wheel.push(ev)
+        ev = [time, oseq * self._n_slots + cur, ST_TIMER, fn, args]
+        _heappush(self._theap, ev)
         return ev
 
     def timer_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> list:
@@ -328,8 +332,8 @@ class Engine:
         seqs = self._owner_seq
         oseq = seqs[cur]
         seqs[cur] = oseq + 1
-        ev = [self.now + delay, oseq * self._n_slots + cur, ST_WHEEL, fn, args]
-        self._wheel.push(ev)
+        ev = [self.now + delay, oseq * self._n_slots + cur, ST_TIMER, fn, args]
+        _heappush(self._theap, ev)
         return ev
 
     # ------------------------------------------------------------------
@@ -345,26 +349,26 @@ class Engine:
         state = event[2]
         if state == ST_PENDING or state == ST_POOLED:
             self._queue.cancel(event)
-        elif state == ST_WHEEL:
-            self._wheel.cancel(event)
+        elif state == ST_TIMER:
+            self._timers.cancel(event)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Number of live events waiting to fire (heap + wheel)."""
-        return self._queue.live_count + self._wheel.live_count
+        """Number of live events waiting to fire (both queues)."""
+        return self._queue.live_count + self._timers.live_count
 
     def peek_time(self) -> Optional[float]:
         """Firing time of the next live event, or ``None``."""
         qt = self._queue.peek_time()
-        wt = self._wheel.peek_time()
+        tt = self._timers.peek_time()
         if qt is None:
-            return wt
-        if wt is None:
+            return tt
+        if tt is None:
             return qt
-        return qt if qt <= wt else wt
+        return qt if qt <= tt else tt
 
     # ------------------------------------------------------------------
     # Running
@@ -420,23 +424,16 @@ class Engine:
         One "next stop" time, ``min(until, sampler.next_due)`` (``inf``
         when neither is set), covers both the horizon and the timeline
         sampler at one float compare per event. An event at or past
-        ``until`` is put back where it came from, so it stays queued
-        and its handle still cancels.
+        ``until`` is put back in the queue it came from, so it stays
+        queued and its handle still cancels.
 
-        When the head event comes from the wheel, any further wheel
-        events at the *same timestamp* that still precede the heap head
-        are applied as a batched cohort without re-entering the merge
-        loop — flush-timer coalescing produces exactly these dense
-        same-deadline bursts. The cohort fires the identical events in
-        the identical ``(time, seq)`` order the plain loop would:
-        cohort members were armed before anything a fired callback can
-        schedule now (so their seqs are smaller), and the cached heap
-        head bounds everything that was already queued. It needs no stop
-        check: it shares the ``t`` that already passed it.
+        While the timer queue is empty the loop pops the main heap
+        directly; otherwise it fires the smaller of the two live heads.
         """
         queue = self._queue
         heap = self._heap
-        wheel = self._wheel
+        timers = self._timers
+        theap = self._theap
         pool = self._pool
         sampler = self.sampler
         mod = self._owner_mod
@@ -445,18 +442,17 @@ class Engine:
         stop = limit if sampler is None else min(limit, sampler.next_due)
         fired = 0
         while not self._stop_requested:
-            hev = None
-            from_wheel = False
-            if wheel._live:
-                wev = wheel.peek()
+            if theap:
+                ev = timers.peek()
                 hev = queue.peek()
-                if hev is None or wev < hev:
-                    ev = wheel.pop()
-                    from_wheel = True
-                else:
+                if hev is not None and (ev is None or hev < ev):
                     ev = _heappop(heap)
+                elif ev is not None:
+                    _heappop(theap)
+                else:
+                    break
             else:
-                # Heap-only fast path: skim corpses inline.
+                # Main-heap-only fast path: skim corpses inline.
                 while heap:
                     ev = _heappop(heap)
                     if ev[2]:
@@ -469,10 +465,7 @@ class Engine:
             if t >= stop:
                 if t >= limit:
                     # It belongs to a later run() call; put it back.
-                    if from_wheel:
-                        wheel.unpop(ev)
-                    else:
-                        _heappush(heap, ev)
+                    _heappush(theap if state == ST_TIMER else heap, ev)
                     stats.horizon_reached = True
                     break
                 # Sample state-at-boundary before the crossing event
@@ -487,27 +480,6 @@ class Engine:
             ev[3](*ev[4])
             if state == ST_POOLED and len(pool) < POOL_CAP:
                 pool.append(ev)
-            if from_wheel:
-                # Same-timestamp wheel cohort (see docstring).
-                cur = wheel._current
-                while cur and not self._stop_requested:
-                    head = cur[0]
-                    if head[2] != ST_WHEEL:
-                        _heappop(cur)
-                        wheel._dead -= 1
-                        continue
-                    if head[0] != t or (hev is not None and hev < head):
-                        break
-                    wheel._live -= 1
-                    ev = _heappop(cur)
-                    if mod:
-                        slot = ev[1] % mod
-                        self.current_owner = (
-                            slot if slot < nown else (slot - nown) % nown
-                        )
-                    fired += 1
-                    ev[2] = ST_CONSUMED
-                    ev[3](*ev[4])
         else:
             stats.stopped_early = True
         stats.events_fired = fired
@@ -525,7 +497,8 @@ class Engine:
         valid across successive horizons."""
         queue = self._queue
         heap = self._heap
-        wheel = self._wheel
+        timers = self._timers
+        theap = self._theap
         pool = self._pool
         tracer = self.tracer
         sampler = self.sampler
@@ -537,28 +510,20 @@ class Engine:
             if self._stop_requested:
                 stats.stopped_early = True
                 break
-            from_wheel = False
-            if wheel._live:
-                wev = wheel.peek()
-                hev = queue.peek()
-                if hev is None or wev < hev:
-                    ev = wev
-                    from_wheel = True
-                else:
-                    ev = hev
-            else:
-                ev = queue.peek()
-                if ev is None:
-                    break
+            ev = queue.peek()
+            if theap:
+                tev = timers.peek()
+                if tev is not None and (ev is None or tev < ev):
+                    ev = tev
+            if ev is None:
+                break
             t = ev[0]
             if until is not None and t >= until:
                 # It belongs to a later run() call; leave it in place.
                 stats.horizon_reached = True
                 break
-            if from_wheel:
-                wheel.pop()
-            else:
-                _heappop(heap)
+            state = ev[2]
+            _heappop(theap if state == ST_TIMER else heap)
             if next_due is not None and t >= next_due:
                 # Sample state-at-boundary before the crossing event
                 # fires; all applied events are strictly earlier.
@@ -580,7 +545,6 @@ class Engine:
                 tracer.record(
                     "event", t=t, fn=getattr(ev[3], "__qualname__", "?")
                 )
-            state = ev[2]
             ev[2] = ST_CONSUMED
             ev[3](*ev[4])
             if state == ST_POOLED and len(pool) < POOL_CAP:
@@ -600,7 +564,8 @@ class Engine:
             raise SimulationError("cannot reset a running engine")
         self._queue = EventQueue()
         self._heap = self._queue._heap
-        self._wheel = TimerWheel()
+        self._timers = EventQueue()
+        self._theap = self._timers._heap
         self._pool = []
         self.now = 0.0
         self._owner_seq = [0] * self._n_slots

@@ -1,12 +1,13 @@
 """Scheduled events, represented as plain 5-slot lists.
 
 An event is ``[time, seq, state, fn, args]``. Ordering is by
-``(time, seq)`` where ``seq`` is a monotonically increasing sequence
-number assigned by the engine, making the simulation fully deterministic
-even when many events share a timestamp (FIFO among ties) — and because
-the first two slots are the sort key, ``list.__lt__`` gives the heap
-exactly that ordering **in C**, with no Python-level ``__lt__`` call per
-comparison. Profiling showed heap comparisons dominating the hot path
+``(time, seq)`` where ``seq`` is a unique sequence number assigned by
+the engine, making the simulation fully deterministic even when many
+events share a timestamp (FIFO among ties on a single-owner engine;
+owner-slot order on a multi-owner one, see :mod:`repro.sim.engine`) —
+and because the first two slots are the sort key, ``list.__lt__`` gives
+the heap exactly that ordering **in C**, with no Python-level ``__lt__``
+call per comparison. Profiling showed heap comparisons dominating the hot path
 (fig 11 quick: ~1.15M ``Event.__lt__`` calls for 98k events), which is
 why events are lists rather than instances: the list *is* both the heap
 entry and the cancellation handle.
@@ -15,27 +16,27 @@ State machine (slot ``EV_STATE``):
 
 ``ST_CANCELLED`` (0)
     Cancelled; a corpse. Dropped lazily when it surfaces at the head of
-    whichever structure holds it. Falsy on purpose: liveness checks are
+    whichever queue holds it. Falsy on purpose: liveness checks are
     ``if ev[EV_STATE]:``.
 ``ST_PENDING`` (1)
-    Live, waiting in the engine's heap queue; the caller may hold the
+    Live, waiting in the engine's main queue; the caller may hold the
     list as a cancellation handle.
 ``ST_CONSUMED`` (2)
     Popped and fired. Terminal.
-``ST_WHEEL`` (3)
-    Live, waiting in the timer wheel (see :mod:`repro.sim.wheel`).
+``ST_TIMER`` (3)
+    Live, waiting in the engine's timer queue (armed through
+    :meth:`Engine.timer_at` / :meth:`Engine.timer_after`).
 ``ST_POOLED`` (4)
-    Live in the heap, but scheduled through the engine's no-handle fast
-    path (:meth:`Engine.call_at`): no reference escaped the engine, so
+    Live in the main queue, but scheduled through the engine's no-handle
+    fast path (:meth:`Engine.call_at`): no reference escaped the engine, so
     after firing the list is recycled through the event pool. Only
     state-4 events are ever pooled — a pooled event can have no stale
     handle pointing at it, so recycling can never resurrect a
     cancelled-by-handle event.
 
 Cancellation is *lazy*: the engine flips the state slot to 0 and counts
-the corpse; the structures discard dead events when they reach the head
-(or during compaction). This keeps cancellation O(1), which matters
-because flush timers are cancelled far more often than they fire.
+the corpse; the queues discard dead events when they reach the head
+(or during compaction). This keeps cancellation O(1) amortized.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ EV_ARGS = 4
 ST_CANCELLED = 0
 ST_PENDING = 1
 ST_CONSUMED = 2
-ST_WHEEL = 3
+ST_TIMER = 3
 ST_POOLED = 4
 
-_STATE_NAMES = ("cancelled", "pending", "fired", "wheel", "pooled")
+_STATE_NAMES = ("cancelled", "pending", "fired", "timer", "pooled")
 
 
 def Event(time: float, seq: int, fn: Callable[..., Any], args: tuple = ()) -> list:

@@ -1,9 +1,10 @@
 """Binary-heap event queue with stable ordering, lazy deletion, and
 corpse auto-compaction.
 
-A thin wrapper over :mod:`heapq` that the engine owns. It exists as its
-own module so the ordering/lazy-deletion invariants can be unit- and
-property-tested in isolation (see ``tests/sim/test_queue.py``).
+A thin wrapper over :mod:`heapq`. The engine owns two: the main queue
+and the timer queue. It exists as its own module so the
+ordering/lazy-deletion invariants can be unit- and property-tested in
+isolation (see ``tests/sim/test_queue.py``).
 
 Events are the plain lists of :mod:`repro.sim.event`; the heap orders
 them by their leading ``(time, seq)`` slots entirely in C. Liveness is
@@ -12,10 +13,10 @@ tracked by a *corpse counter* rather than per-event bookkeeping:
 
 Compaction is automatic: when cancelled corpses are both numerous
 (``compact_min``) and at least half the heap, the heap is rebuilt
-without them. Cancel-heavy workloads (per-buffer flush timers) used to
-require calling :meth:`compact` by hand; now the cost is amortized O(1)
-per cancel — after a rebuild, at least ``live_count`` further cancels
-are needed before the ratio trips again.
+without them, so arm-then-cancel churn cannot grow the heap without
+bound. The cost is amortized O(1) per cancel — after a rebuild, at
+least ``live_count`` further cancels are needed before the ratio trips
+again.
 """
 
 from __future__ import annotations

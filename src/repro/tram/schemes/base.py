@@ -47,9 +47,11 @@ class _TimerGroup:
     Buffers armed by the same task share ``engine.now`` and the same
     timeout arithmetic, so their flush deadlines are bit-identical —
     WW arms up to ``total_workers - 1`` buffers per bulk insert. One
-    wheel event per ``(owner_wid, deadline)`` replaces N heap events;
-    members detach in O(1) when a capacity-triggered send empties them,
-    and the group's event is cancelled when the last member leaves.
+    timer event per ``(owner_wid, deadline)`` replaces N per-buffer
+    timers; members detach in O(1) when a capacity-triggered send
+    empties them, and the group's event is cancelled when the last
+    member leaves. Flush timeouts are off unless
+    ``TramConfig.flush_timeout_ns`` is set.
 
     ``buffers`` is insertion-ordered (dict), so a firing group posts its
     flush tasks in arm order — the order the per-buffer timers would
@@ -156,7 +158,7 @@ class SchemeBase:
         #: shared process buffers) — drives the cache-footprint penalty.
         self._footprint: dict = {}
         #: Live flush-timer groups keyed by ``(owner_wid, deadline)``;
-        #: each holds one timer-wheel event shared by all buffers whose
+        #: each holds one engine timer event shared by all buffers whose
         #: flush timeout lands on that exact deadline.
         self._timer_groups: dict = {}
         self._ns = f"tram/{next(_instance_ids)}/{self.name}"
@@ -644,8 +646,9 @@ class SchemeBase:
         key = (owner_wid, deadline)
         group = self._timer_groups.get(key)
         if group is None:
-            # Timer-wheel timeout: flush timers are usually cancelled by
-            # a capacity-triggered send before they fire.
+            # Armed with timer_at so it waits in the engine's timer
+            # queue; a capacity-triggered send that empties every
+            # member cancels it.
             group = _TimerGroup(key)
             group.event = engine.timer_at(deadline, self._timer_group_fire, key)
             self._timer_groups[key] = group
@@ -654,7 +657,7 @@ class SchemeBase:
 
     def _release_timer(self, buf: Buffer) -> None:
         """Detach an emptied buffer from its flush-deadline group; the
-        shared wheel event is cancelled once no members remain."""
+        shared timer event is cancelled once no members remain."""
         group = buf.timer_event
         buf.timer_event = None
         members = group.buffers

@@ -81,12 +81,21 @@ class TestEngineChaining:
 
 
 # ----------------------------------------------------------------------
-# Wheel/heap determinism equivalence
+# Timer-queue / main-queue determinism equivalence
 # ----------------------------------------------------------------------
-# Delays are multiples of 250 ns so exact deadline ties (and shared wheel
-# slots) are common, and the script interleaves arms, cancels, and
-# horizon-split runs — the workload shape of flush/retransmit timers.
-arm_st = st.tuples(st.integers(0, 40), st.booleans())  # (delay/250ns, timer?)
+# Delays are multiples of 250 ns so exact deadline ties are common, and
+# the script interleaves arms, cancels, and horizon-split runs — the
+# workload shape of retransmit and flush timers. Each arm also draws the
+# owner it is allocated under and a zero-delay follow-up its callback
+# schedules (none, through ``after``, or through the arm call itself):
+# on a multi-owner engine a follow-up can take a smaller seq than an
+# event already queued for ``now``.
+arm_st = st.tuples(
+    st.integers(0, 40),   # delay / 250 ns
+    st.booleans(),        # timer?
+    st.integers(0, 2),    # owner (mod the engine's owner count)
+    st.integers(0, 2),    # follow-up: none / after(0) / same arm call
+)
 step_st = st.tuples(
     st.integers(0, 8),                       # driver advance (x250 ns)
     st.lists(arm_st, max_size=5),            # arms this step
@@ -96,23 +105,28 @@ script_st = st.lists(step_st, min_size=1, max_size=25)
 horizons_st = st.lists(st.integers(1, 60), max_size=3)
 
 
-def _run_script(script, horizons, use_wheel: bool):
+def _run_script(script, horizons, use_timers: bool, n_owners: int = 1,
+                **run_kwargs):
     """Interpret the script on one engine; return the fired sequence."""
     eng = Engine()
+    eng.configure_owners(n_owners)
     fired = []
     handles = []
 
-    def payload(tag):
+    def payload(tag, follow, arm):
         fired.append((eng.now, tag))
+        if follow == 1:
+            eng.after(0.0, fired.append, (eng.now, f"{tag}+"))
+        elif follow == 2:
+            arm(0.0, fired.append, (eng.now, f"{tag}+"))
 
     def step(i):
         advance, arms, cancels = script[i]
-        for delay, is_timer in arms:
+        for delay, is_timer, owner, follow in arms:
             tag = len(handles)
-            if is_timer and use_wheel:
-                handles.append(eng.timer_after(delay * 250.0, payload, tag))
-            else:
-                handles.append(eng.after(delay * 250.0, payload, tag))
+            arm = eng.timer_after if is_timer and use_timers else eng.after
+            eng.current_owner = owner % n_owners
+            handles.append(arm(delay * 250.0, payload, tag, follow, arm))
         for target in cancels:
             if target < len(handles):
                 eng.cancel(handles[target])  # may already have fired: noop
@@ -122,20 +136,29 @@ def _run_script(script, horizons, use_wheel: bool):
 
     eng.after(script[0][0] * 250.0, step, 0)
     for h in sorted(horizons):
-        eng.run(until=h * 250.0)  # deferred events keep their handles
-    eng.run()
+        # Deferred events keep their handles.
+        eng.run(until=h * 250.0, **run_kwargs)
+    eng.run(**run_kwargs)
     assert eng.pending == 0
     return fired
 
 
-class TestWheelHeapEquivalence:
-    @given(script_st, horizons_st)
-    @settings(max_examples=80, deadline=None)
-    def test_identical_fire_sequence(self, script, horizons):
-        """A wheel+heap engine fires the exact (time, seq, fn) sequence
-        of a heap-only engine under randomized arm/cancel/requeue: the
-        fired (now, tag) streams — tags encode arm order, i.e. seq —
-        must match element for element."""
-        heap_only = _run_script(script, horizons, use_wheel=False)
-        wheel = _run_script(script, horizons, use_wheel=True)
-        assert wheel == heap_only
+class TestTimerQueueEquivalence:
+    @given(script_st, horizons_st, st.sampled_from((1, 3)))
+    @settings(max_examples=300, deadline=None)
+    def test_identical_fire_sequence(self, script, horizons, n_owners):
+        """An engine that arms some events through ``timer_after`` fires
+        the exact (time, seq, fn) sequence of one that arms everything
+        through ``after``, under randomized arm/cancel/requeue, on
+        single- and three-owner engines (where seqs are not monotone in
+        arm order), in the fast loop and in the instrumented
+        (``max_events``) loop: the fired (now, tag) streams must match
+        element for element."""
+        heap_only, heap_only_general, timers, timers_general = (
+            _run_script(script, horizons, use_timers, n_owners, **kwargs)
+            for use_timers in (False, True)
+            for kwargs in ({}, {"max_events": 10_000})
+        )
+        assert timers == heap_only
+        assert heap_only_general == heap_only
+        assert timers_general == heap_only

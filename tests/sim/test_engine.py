@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.engine import Engine
+from repro.sim.event import EV_TIME
 from repro.sim.trace import Tracer
 
 
@@ -170,3 +171,103 @@ class TestRunStats:
         assert a.events_fired == 5
         assert a.end_time == 10.0
         assert a.stopped_early
+
+
+class TestTimerQueueMerge:
+    def test_merge_preserves_time_seq_order_across_sources(self):
+        eng = Engine()
+        order = []
+        eng.at(10.0, order.append, "h1")        # seq 0
+        eng.timer_at(10.0, order.append, "t1")  # seq 1: tie broken by seq
+        eng.at(10.0, order.append, "h2")        # seq 2
+        eng.timer_at(5.0, order.append, "t0")   # seq 3: earliest time
+        eng.run()
+        assert order == ["t0", "h1", "t1", "h2"]
+
+    def test_timer_validation_matches_at(self):
+        eng = Engine()
+        eng.at(10.0, lambda: None)
+        eng.run()
+        with pytest.raises(SchedulingError):
+            eng.timer_at(5.0, lambda: None)
+        with pytest.raises(SchedulingError):
+            eng.timer_after(-1.0, lambda: None)
+
+    def test_timer_cancel_via_engine(self):
+        eng = Engine()
+        fired = []
+        h = eng.timer_after(10.0, fired.append, "x")
+        eng.timer_after(20.0, fired.append, "y")
+        eng.cancel(h)
+        eng.cancel(h)  # double cancel safe
+        eng.run()
+        assert fired == ["y"]
+        assert eng.pending == 0
+
+    def test_timer_deferred_past_horizon_keeps_handle(self):
+        eng = Engine()
+        fired = []
+        h = eng.timer_at(100.0, fired.append, "x")
+        stats = eng.run(until=50.0)
+        assert stats.horizon_reached
+        assert eng.pending == 1
+        eng.cancel(h)
+        eng.run()
+        assert fired == []
+
+    def test_pending_and_peek_time_span_both_queues(self):
+        eng = Engine()
+        eng.at(30.0, lambda: None)
+        eng.timer_at(20.0, lambda: None)
+        assert eng.pending == 2
+        assert eng.peek_time() == 20.0
+
+
+class TestEventPool:
+    def test_internal_events_are_pooled_after_firing(self):
+        eng = Engine()
+        eng.call_after(1.0, lambda _: None, (0,))
+        eng.run()
+        assert len(eng._pool) == 1
+
+    def test_handle_bearing_events_are_never_pooled(self):
+        eng = Engine()
+        h = eng.at(1.0, lambda: None)
+        eng.timer_at(2.0, lambda: None)
+        eng.run()
+        assert h not in eng._pool
+        assert eng._pool == []
+
+    def test_recycled_event_fires_with_new_payload(self):
+        eng = Engine()
+        order = []
+        eng.call_after(1.0, order.append, ("x",))
+        eng.run()
+        recycled = eng._pool[-1]
+        eng.call_after(1.0, order.append, ("y",))
+        assert eng._pool == []  # the pooled list was taken back out
+        assert recycled[EV_TIME] == 2.0  # now(=1.0) + 1.0 delay
+        eng.run()
+        assert order == ["x", "y"]
+
+    def test_pool_reuse_cannot_resurrect_cancelled_events(self):
+        """A cancelled handle must stay dead through pool churn: pooled
+        lists are only ever the engine's own no-handle events, so a
+        recycled list can never be one a caller still points at."""
+        eng = Engine()
+        fired = []
+        h = eng.at(5.0, fired.append, "cancelled")
+        eng.cancel(h)
+        # Churn the pool across the same timestamps.
+        for i in range(10):
+            eng.call_after(float(i), fired.append, (i,))
+        eng.run()
+        assert "cancelled" not in fired
+        assert fired == list(range(10))
+        # The dead handle's list was dropped, not pooled.
+        assert h not in eng._pool
+        # Stale cancel of the long-fired handle is still a safe noop.
+        eng.cancel(h)
+        eng.call_after(1.0, fired.append, ("tail",))
+        eng.run()
+        assert fired[-1] == "tail"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.engine import Engine
+from repro.sim.queue import EventQueue
 
 
 class TestHorizonBoundaries:
@@ -36,8 +37,8 @@ class TestHorizonBoundaries:
     def test_boundary_agrees_between_general_and_window_loops(self):
         """The fast loop and the general (max_events) loop fire the same
         strictly-less-than boundary set, call a boundary sampler at the
-        same times, and fire a same-timestamp wheel cohort next to the
-        horizon in the same order."""
+        same times, and fire same-timestamp timers next to the horizon
+        in the same order."""
         for kwargs in ({}, {"max_events": 100}):
             eng = Engine()
             fired = []
@@ -90,7 +91,7 @@ class TestHorizonBoundaries:
             orders.append(fired)
         assert orders[0] == orders[1] == ["w1", "h", "w2", "w3", "x0", "x2"]
 
-    def test_wheel_event_at_horizon_deferred(self):
+    def test_timer_event_at_horizon_deferred(self):
         eng = Engine()
         fired = []
         eng.timer_at(50.0, fired.append, "x")
@@ -176,3 +177,105 @@ class TestZeroDurationChains:
         eng.run(max_events=500)
         assert order == list(range(100, -1, -1))
         assert eng.now == 0.0
+
+
+class TestOwnerSlotTieOrder:
+    def test_callback_at_now_with_smaller_seq_fires_before_queued_timer(self):
+        """Owner-slot seqs are not monotone in arm order: a callback can
+        schedule an event at ``now`` whose seq is smaller than that of a
+        timer already queued for ``now``. Every loop must still fire in
+        ``(time, seq)`` order, whichever queue the events wait in.
+        (Regression: the fast loop once fired same-time timers as a
+        batch and gave a, b, c.)"""
+        orders = []
+        for use_timer in (True, False):
+            for kwargs in ({}, {"max_events": 100}):
+                eng = Engine()
+                eng.configure_owners(2)
+                arm = eng.timer_at if use_timer else eng.at
+                order = []
+
+                def a():
+                    order.append("a")
+                    eng.at(eng.now, order.append, "c")
+
+                eng.current_owner = 0
+                arm(10.0, a)
+                eng.current_owner = 1
+                for _ in range(5):
+                    eng.at(1.0, lambda: None)
+                arm(10.0, order.append, "b")
+                eng.current_owner = 0
+                eng.run(**kwargs)
+                orders.append(order)
+        assert orders == [["a", "c", "b"]] * 4
+
+
+class TestTimerQueueCompaction:
+    """More than ``compact_min`` cancelled timers, interleaved with
+    main-queue events and horizons: the timer heap is rebuilt in place
+    under the engine's alias while the run loops keep merging it."""
+
+    @staticmethod
+    def _churn(kwargs):
+        eng = Engine()
+        eng.configure_owners(3)
+        handles = {}
+        fired = []
+        cancelled = set()
+
+        def arm(tag, t, timer):
+            eng.current_owner = tag % 3
+            fn = eng.timer_at if timer else eng.at
+            handles[tag] = fn(t, fired.append, tag)
+
+        def cancel(tags):
+            for tag in tags:
+                eng.cancel(handles[tag])
+                cancelled.add(tag)
+
+        def live():
+            done = cancelled.union(fired)
+            return [tag for tag in handles if tag not in done]
+
+        # 1000 timers and 500 main-queue events over t = 100..499.
+        for tag in range(1500):
+            arm(tag, float(100 + (tag * 37) % 400), timer=tag % 3 != 0)
+        eng.current_owner = 0
+        timer_tags = [tag for tag in handles if tag % 3]
+        raw = eng._timers.raw_size
+        cancel(timer_tags[::2])
+        assert len(cancelled) > EventQueue().compact_min
+        assert eng._timers.raw_size < raw  # compaction ran
+        assert eng._theap is eng._timers._heap
+        assert eng.pending == len(live())
+
+        eng.run(until=300.0, **kwargs)
+        assert eng.now == 300.0
+        assert eng.pending == len(live())
+        # The earliest survivor is the event the horizon deferred.
+        deferred = min(live(), key=lambda tag: handles[tag][:2])
+        assert deferred % 3 and handles[deferred][0] == 300.0
+
+        # A second churn wave crosses the floor again with the deferred
+        # timer back in the heap; then cancel the deferred timer.
+        for tag in range(1500, 2100):
+            arm(tag, float(300 + tag % 200), timer=True)
+        eng.current_owner = 0
+        raw = eng._timers.raw_size
+        cancel(range(1500, 2100))
+        assert eng._timers.raw_size < raw
+        cancel([deferred])
+        assert eng.pending == len(live())
+
+        eng.run(until=400.0, **kwargs)
+        assert eng.pending == len(live())
+        eng.run(**kwargs)
+        assert eng.pending == 0
+        assert deferred not in fired
+        survivors = [tag for tag in handles if tag not in cancelled]
+        assert fired == sorted(survivors, key=lambda tag: handles[tag][:2])
+        return fired
+
+    def test_cancelled_timers_past_compaction_floor(self):
+        assert self._churn({}) == self._churn({"max_events": 10_000})
