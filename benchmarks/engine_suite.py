@@ -135,8 +135,8 @@ def bench_flush_heavy_fig11():
     If WW at the pinned fig 11 point (4 nodes, small z) armed a flush
     timeout per buffer, the engine would carry the whole t*p buffer
     population as *parked* timers while ordinary insert/delivery events
-    stream past them. Fig 11 itself parks none: ``run_histogram`` sets
-    no ``flush_timeout_ns``. This bench builds that schedule directly —
+    stream past them. Fig 11 itself parks none: no scheme arms a flush
+    timer. This bench builds that schedule directly —
     W^2 parked timers (32*32 buffers), one chain event per histogram
     update, and a cancel+re-arm every g items — to measure what a deep
     timer population costs the main-queue events; the timer queue

@@ -121,15 +121,3 @@ def owner_of(vertex: int, total_workers: int) -> int:
     """Cyclic partition: the worker owning ``vertex``."""
     return vertex % total_workers
 
-
-def to_networkx(graph: Graph):
-    """Convert to a ``networkx.DiGraph`` (optional dependency)."""
-    import networkx as nx
-
-    g = nx.DiGraph()
-    g.add_nodes_from(range(graph.num_vertices))
-    for v in range(graph.num_vertices):
-        targets, weights = graph.neighbors(v)
-        for u, w in zip(targets.tolist(), weights.tolist()):
-            g.add_edge(v, u, weight=w)
-    return g

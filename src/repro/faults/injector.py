@@ -210,7 +210,7 @@ class FaultInjector:
 
         Scripted ``proc_crash`` / ``proc_restart`` windows map directly;
         seeded victims come from the dedicated crash stream: distinct
-        processes (never pid 0 — it hosts the quiescence coordinator),
+        processes (never pid 0),
         crash times uniform in ``[crash_t_min_ns, crash_t_max_ns)``,
         optional restarts ``crash_restart_after_ns`` later. The result
         is sorted by time so the runtime can schedule it verbatim.

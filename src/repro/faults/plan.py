@@ -124,10 +124,10 @@ class FaultPlan:
     crash_procs:
         Number of *seeded* process crashes: that many distinct victim
         processes are drawn from the runtime's dedicated
-        ``"proc-faults"`` RNG stream (never process 0, which hosts the
-        quiescence coordinator), each with a crash time uniform in
-        ``[crash_t_min_ns, crash_t_max_ns)``. Scripted ``proc_crash``
-        windows layer on top for exact placement.
+        ``"proc-faults"`` RNG stream (never process 0), each with a
+        crash time uniform in ``[crash_t_min_ns, crash_t_max_ns)``.
+        Scripted ``proc_crash`` windows layer on top for exact
+        placement.
     crash_restart_after_ns:
         When set, every seeded victim restarts this long after its
         crash; ``None`` (the default) keeps victims dead for the rest

@@ -36,9 +36,8 @@ class FlowConfig:
         workers) acquire these before injecting onto the wire.
     overload_backlog_ns:
         Backlog (server booked-ahead time) past which the overload
-        detector escalates: schemes stretch their flush timers by
-        ``TramConfig.overload_flush_stretch`` and grow their effective
-        buffer capacity by ``TramConfig.overload_buffer_growth``.
+        detector escalates: schemes grow their effective buffer capacity
+        by ``TramConfig.overload_buffer_growth``.
     clear_backlog_ns:
         Hysteresis floor: overload clears once every gate has drained
         its parked queue and all backlogs sit below this value.

@@ -21,8 +21,8 @@ flow subsystem:
   stage, keeping the stage-partition identity.
 * **overload detection** — backlog beyond
   ``FlowConfig.overload_backlog_ns`` (or any parked message) escalates
-  every attached scheme once (flush-timer stretch + buffer growth);
-  the condition clears with hysteresis at ``clear_backlog_ns``.
+  every attached scheme once (buffer growth); the condition clears
+  with hysteresis at ``clear_backlog_ns``.
 * **load shedding** — past ``shed_backlog_ns``, unprotected messages
   to a destination whose parked budget is exhausted are destroyed and
   counted; the drop feeds loss-aware quiescence accounting via the

@@ -392,14 +392,17 @@ def _worker_main(worker_id, fn, specs, collect_obs, conn, resq, stale_conns):
 
     SIGINT is ignored so a terminal Ctrl-C drains through the parent's
     supervisor instead of killing in-flight points mid-simulation.
+    SIGTERM gets its default action back: the parent's drain handler,
+    inherited through fork, only sets a flag no worker reads.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    # Close inherited ends of *other* workers' task pipes so that a
-    # sibling's EOF detection (and orphan self-termination after a
-    # parent SIGKILL) is not held open by this process.
+    # Close inherited parent-side task pipe ends (this worker's own and
+    # its siblings') so that EOF detection — orphan self-termination
+    # after a parent SIGKILL — is not held open by this process.
     for other in stale_conns:
         try:
             other.close()
@@ -543,8 +546,11 @@ class _Supervisor:
     def _spawn(self) -> Optional[_WorkerHandle]:
         wid = self.next_wid
         self.next_wid += 1
-        stale = [h.conn for h in self.workers.values()]
         parent_conn, child_conn = self.mp.Pipe()
+        # The child closes its inherited copies of every parent-side task
+        # pipe end, its own included: otherwise its conn.recv() never
+        # sees EOF once the parent dies.
+        stale = [h.conn for h in self.workers.values()] + [parent_conn]
         proc = self.mp.Process(
             target=_worker_main,
             args=(wid, self.fn, self.specs, self.collect_obs, child_conn,

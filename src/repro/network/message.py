@@ -10,8 +10,7 @@ travels between processes.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 
@@ -21,9 +20,6 @@ class Route(enum.Enum):
     INTRA_PROCESS = "intra_process"
     INTRA_NODE = "intra_node"
     INTER_NODE = "inter_node"
-
-
-_msg_ids = itertools.count()
 
 
 @dataclass
@@ -93,7 +89,6 @@ class NetMessage:
     attempt: int = 0
     checksum_ok: bool = True
     piggyback_ack: Optional[tuple] = None
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
 
     def addressed_to_worker(self) -> bool:
         """Whether the message targets a specific PE (vs. a process)."""
@@ -104,8 +99,8 @@ class NetMessage:
 
         Shares the payload but owns its envelope and, when observability
         is on, an independent span so each copy attributes its own
-        transit times. Keeps ``msg_id`` — copies are the same *logical*
-        message, which is what receiver-side dedup keys on (via ``seq``).
+        transit times. Keeps ``seq`` — copies are the same *logical*
+        message, which is what receiver-side dedup keys on.
         """
         span = self.span.clone() if self.span is not None else None
         return NetMessage(
@@ -123,5 +118,4 @@ class NetMessage:
             attempt=self.attempt,
             checksum_ok=self.checksum_ok,
             piggyback_ack=self.piggyback_ack,
-            msg_id=self.msg_id,
         )

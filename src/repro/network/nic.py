@@ -83,12 +83,6 @@ class Nic:
         self._tx_free = start + occupancy
         self.stats.tx_messages += 1
         self.stats.tx_bytes += msg.size_bytes
-        tracer = self.engine.tracer
-        if tracer is not None and tracer.wants("msg"):
-            tracer.record(
-                "msg", hop="nic_tx", node=self.node_id, msg_id=msg.msg_id,
-                start=start, dur=occupancy,
-            )
         arrival = self._tx_free + wire_latency_ns
         if faults is None:
             span = msg.span
@@ -127,12 +121,6 @@ class Nic:
         span = msg.span
         if span is not None:
             span.nic_rx_ns += (start - now) + occupancy
-        tracer = self.engine.tracer
-        if tracer is not None and tracer.wants("msg"):
-            tracer.record(
-                "msg", hop="nic_rx", node=self.node_id, msg_id=msg.msg_id,
-                start=start, dur=occupancy,
-            )
         self.engine.call_at(self._rx_free, self.sink, (msg,))
 
     @property

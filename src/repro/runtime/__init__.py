@@ -23,7 +23,6 @@ from repro.runtime.commthread import CommThread
 from repro.runtime.context import ExecContext
 from repro.runtime.node import Node
 from repro.runtime.proc import Process
-from repro.runtime.qd_protocol import QuiescenceDetector
 from repro.runtime.quiescence import QDCounter
 from repro.runtime.reliability import (
     ReliabilityConfig,
@@ -41,7 +40,6 @@ __all__ = [
     "Node",
     "Process",
     "QDCounter",
-    "QuiescenceDetector",
     "ReliabilityConfig",
     "ReliabilityStats",
     "ReliableDelivery",

@@ -60,7 +60,7 @@ class CommThread:
         #: Installed by the transport: next hop after send-side service.
         self.on_outbound_done: Optional[Callable[[NetMessage], None]] = None
 
-    def _serve(self, msg: NetMessage, hop: str) -> float:
+    def _serve(self, msg: NetMessage) -> float:
         """Book one message through the FIFO server; return finish time."""
         now = self.rt.engine.now
         service = self.rt.costs.comm_service_ns(msg.size_bytes)
@@ -85,12 +85,6 @@ class CommThread:
         if span is not None:
             span.ct_queue_ns += start - now
             span.ct_service_ns += service
-        tracer = self.rt.engine.tracer
-        if tracer is not None and tracer.wants("msg"):
-            tracer.record(
-                "msg", hop=hop, pid=self.pid, msg_id=msg.msg_id,
-                start=start, dur=service,
-            )
         return self._free
 
     def submit_outbound(self, msg: NetMessage) -> None:
@@ -104,13 +98,13 @@ class CommThread:
             self.rt.faults.note_crash_destroyed(msg)
             return
         self.stats.out_messages += 1
-        done = self._serve(msg, "ct_out")
+        done = self._serve(msg)
         self.rt.engine.call_at(done, self.on_outbound_done, (msg,))
 
     def submit_inbound(self, msg: NetMessage) -> None:
         """A message arrived for this process; deliver after service."""
         self.stats.in_messages += 1
-        done = self._serve(msg, "ct_in")
+        done = self._serve(msg)
         self.rt.engine.call_at(done, self._deliver, (msg,))
 
     def _deliver(self, msg: NetMessage) -> None:

@@ -11,8 +11,8 @@ Typical use::
     stats = rt.run()
 
 Running to event-queue exhaustion is quiescence: applications are
-structured (one-shot conditional flush timers, idle-flush hooks) so that
-a finished run drains naturally.
+structured (explicit end-of-phase flushes, idle-flush hooks) so that a
+finished run drains naturally.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.runtime.transport import Transport
 from repro.runtime.worker import Worker
 from repro.sim.engine import Engine, RunStats
 from repro.sim.rng import RngStreams
-from repro.sim.trace import Tracer
 
 
 class RuntimeSystem:
@@ -54,8 +53,6 @@ class RuntimeSystem:
         Cost model; defaults to the Delta-shaped preset.
     seed:
         Root seed for all named RNG streams.
-    tracer:
-        Optional tracer threaded into the engine.
     obs / faults / reliability / flow:
         Optional overrides of the ambient
         :class:`~repro.options.RunOptions` fields of the same names
@@ -71,7 +68,6 @@ class RuntimeSystem:
         machine: MachineConfig,
         costs: Optional[CostModel] = None,
         seed: int = 0,
-        tracer: Optional[Tracer] = None,
         obs: Optional[ObsConfig] = None,
         faults: Optional[FaultPlan] = None,
         reliability: Optional[ReliabilityConfig] = None,
@@ -98,7 +94,7 @@ class RuntimeSystem:
         self.schemes: List[Any] = []
         self.machine = machine
         self.costs = costs if costs is not None else CostModel()
-        self.engine = Engine(tracer=tracer)
+        self.engine = Engine()
         if machine.nodes > 1:
             # Owner-slot seq allocation (one owner per simulated node):
             # fixes tie order in multi-node runs. Single-node machines

@@ -87,13 +87,6 @@ class Transport:
         rel = rt.reliable
         if rel is not None:
             rel.on_send(msg, src_process, route)
-        tracer = rt.engine.tracer
-        if tracer is not None and tracer.wants("msg"):
-            tracer.record(
-                "msg", hop="send", wid=msg.src_worker, msg_id=msg.msg_id,
-                t=rt.engine.now, dst_process=msg.dst_process,
-                size=msg.size_bytes, route=route.value,
-            )
 
         if route is Route.INTRA_PROCESS:
             self._deliver_local(msg)

@@ -75,7 +75,6 @@ class Worker:
         "wid",
         "stats",
         "idle_hooks",
-        "task_hook",
         "_normal",
         "_expedited",
         "_busy",
@@ -89,9 +88,6 @@ class Worker:
         self.stats = WorkerStats()
         #: Callables ``hook(worker)`` invoked when the PE goes idle.
         self.idle_hooks: List[Callable[["Worker"], None]] = []
-        #: Optional ``hook(worker, fn, ctx)`` called after each executed
-        #: task (used by :mod:`repro.util.timeline` for trace export).
-        self.task_hook = None
         self._normal: Deque[Tuple[Callable[..., Any], tuple]] = deque()
         self._expedited: Deque[Tuple[Callable[..., Any], tuple]] = deque()
         self._busy = False
@@ -145,12 +141,6 @@ class Worker:
         span = msg.span
         if span is not None:
             span.pe_arrival = self.rt.engine.now
-        tracer = self.rt.engine.tracer
-        if tracer is not None and tracer.wants("msg"):
-            tracer.record(
-                "msg", hop="recv", wid=self.wid, msg_id=msg.msg_id,
-                t=self.rt.engine.now,
-            )
         handler = self.rt.handler_for(msg.kind)
         self.post_task(
             self._run_message_handler,
@@ -204,8 +194,6 @@ class Worker:
             engine.call_at(finish + delay, efn, eargs)
         self.stats.tasks_executed += 1
         self.stats.busy_ns += cost
-        if self.task_hook is not None:
-            self.task_hook(self, fn, ctx)
         engine.call_at(finish, self._on_finish)
 
     def _on_finish(self) -> None:

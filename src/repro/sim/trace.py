@@ -1,8 +1,7 @@
 """Structured simulation tracing.
 
 Tracing is off by default (it is on the hot path); benchmarks never
-enable it. Tests and the examples use it to assert event orderings and to
-show what the simulator is doing.
+enable it. Tests use it to assert the order in which events fire.
 """
 
 from __future__ import annotations
@@ -17,9 +16,9 @@ class Tracer:
     Parameters
     ----------
     categories:
-        Categories to capture; ``None`` captures everything. Common
-        categories used by the library: ``"event"``, ``"send"``,
-        ``"recv"``, ``"flush"``, ``"nic"``, ``"commthread"``.
+        Categories to capture; ``None`` captures everything. The
+        library records one category: ``"event"``, one record per
+        fired event, from the engine's instrumented run loop.
     capacity:
         Maximum retained records (oldest evicted first).
     """

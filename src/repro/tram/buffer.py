@@ -54,7 +54,6 @@ class ItemBuffer:
 
     __slots__ = (
         "capacity",
-        "timer_event",
         "dest",
         "_items",
         "_head",
@@ -64,8 +63,6 @@ class ItemBuffer:
 
     def __init__(self, capacity: int, dest=None) -> None:
         self.capacity = capacity
-        #: Armed flush-timeout state, managed by the scheme.
-        self.timer_event = None
         #: ``(dst_process, dst_worker_or_None)`` routing of this buffer.
         self.dest = dest
         self._items: List[Item] = []
@@ -168,7 +165,6 @@ class CountBuffer:
         "src_counts",
         "t_sum",
         "t_min",
-        "timer_event",
         "dest",
     )
 
@@ -191,7 +187,6 @@ class CountBuffer:
         )
         self.t_sum = 0.0
         self.t_min = float("inf")
-        self.timer_event = None
         self.dest = dest
 
     @property

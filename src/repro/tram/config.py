@@ -30,9 +30,6 @@ class TramConfig:
         paper: "buffers can be flushed, optionally, when the processor is
         idle"). Required for dependency-driven apps (SSSP, PDES) to make
         progress; streaming apps typically flush explicitly instead.
-    flush_timeout_ns:
-        If set, a buffer that stays non-empty this long is flushed by a
-        timer — bounds worst-case item latency.
     bypass_local:
         Deliver intra-process items directly through shared memory
         instead of aggregating them (they would never cross the network).
@@ -47,32 +44,20 @@ class TramConfig:
     latency_sample:
         Reservoir size for latency percentiles (0 disables sampling;
         mean/min/max are always tracked exactly).
-    degraded_flush_divisor:
-        When the reliability layer degrades a destination to direct
-        sends, the scheme's flush timers escalate: the effective
-        ``flush_timeout_ns`` is divided by this factor so items stop
-        pooling behind a destination that has already proven lossy.
-    overload_flush_stretch:
-        When the flow controller's overload detector escalates, flush
-        timers *stretch* by this factor (fire less often) — the inverse
-        of the degraded escalation: overload wants less per-message
-        pressure on the comm thread, not faster flushing.
     overload_buffer_growth:
-        Under the same escalation, the effective buffer capacity grows
-        by this factor, so full-buffer sends carry more items per
-        message while the overload lasts.
+        When the flow controller's overload detector escalates, the
+        effective buffer capacity grows by this factor, so full-buffer
+        sends carry more items per message — less per-message pressure
+        on the comm thread — while the overload lasts.
     """
 
     buffer_items: int = 1024
     item_bytes: int = 8
     idle_flush: bool = False
-    flush_timeout_ns: Optional[float] = None
     bypass_local: bool = True
     expedited: bool = True
     priority_threshold: Optional[float] = None
     latency_sample: int = 0
-    degraded_flush_divisor: float = 4.0
-    overload_flush_stretch: float = 4.0
     overload_buffer_growth: float = 2.0
 
     def __post_init__(self) -> None:
@@ -80,20 +65,8 @@ class TramConfig:
             raise ConfigError(f"buffer_items must be >= 1, got {self.buffer_items}")
         if self.item_bytes < 1:
             raise ConfigError(f"item_bytes must be >= 1, got {self.item_bytes}")
-        if self.flush_timeout_ns is not None and self.flush_timeout_ns <= 0:
-            raise ConfigError("flush_timeout_ns must be positive when set")
         if self.latency_sample < 0:
             raise ConfigError("latency_sample must be >= 0")
-        if self.degraded_flush_divisor < 1.0:
-            raise ConfigError(
-                f"degraded_flush_divisor must be >= 1, got "
-                f"{self.degraded_flush_divisor}"
-            )
-        if self.overload_flush_stretch < 1.0:
-            raise ConfigError(
-                f"overload_flush_stretch must be >= 1, got "
-                f"{self.overload_flush_stretch}"
-            )
         if self.overload_buffer_growth < 1.0:
             raise ConfigError(
                 f"overload_buffer_growth must be >= 1, got "

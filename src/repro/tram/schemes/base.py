@@ -3,7 +3,7 @@
 The base class owns everything that is identical across schemes —
 destination-side processing (grouping, section fan-out, delivery,
 latency accounting), local-bypass of intra-process items, flush
-plumbing (explicit, idle-hook, timer, priority), message emission with
+plumbing (explicit, idle-hook, priority), message emission with
 resizing, and statistics — so each concrete scheme only decides *where
 buffers live* and *how inserts find them* (the actual design axis the
 paper studies).
@@ -38,32 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover
 Buffer = Union[ItemBuffer, CountBuffer]
 
 _instance_ids = itertools.count()
-
-
-class _TimerGroup:
-    """One armed flush deadline shared by every buffer that reached it
-    together.
-
-    Buffers armed by the same task share ``engine.now`` and the same
-    timeout arithmetic, so their flush deadlines are bit-identical —
-    WW arms up to ``total_workers - 1`` buffers per bulk insert. One
-    timer event per ``(owner_wid, deadline)`` replaces N per-buffer
-    timers; members detach in O(1) when a capacity-triggered send
-    empties them, and the group's event is cancelled when the last
-    member leaves. Flush timeouts are off unless
-    ``TramConfig.flush_timeout_ns`` is set.
-
-    ``buffers`` is insertion-ordered (dict), so a firing group posts its
-    flush tasks in arm order — the order the per-buffer timers would
-    have fired in.
-    """
-
-    __slots__ = ("key", "event", "buffers")
-
-    def __init__(self, key) -> None:
-        self.key = key
-        self.event = None
-        self.buffers: dict = {}
 
 
 class SchemeBase:
@@ -146,21 +120,13 @@ class SchemeBase:
         #: ``None`` until the first death so the crash-free insert path
         #: pays one ``is None`` check.
         self._dead_peers: Optional[set] = None
-        #: Flush-timer scale; drops below 1.0 when a destination
-        #: degrades (see :meth:`on_destination_degraded`).
-        self._flush_timeout_scale = 1.0
-        #: Overload escalation state (see :meth:`on_overload`): both
-        #: exactly 1.0 until the flow controller escalates, so default
-        #: arithmetic is unchanged bit for bit.
-        self._overload_flush_scale = 1.0
+        #: Overload escalation state (see :meth:`on_overload`): exactly
+        #: 1.0 until the flow controller escalates, so default arithmetic
+        #: is unchanged bit for bit.
         self._overload_capacity_mult = 1.0
         #: Allocated buffer bytes per owner (worker id, or ("p", pid) for
         #: shared process buffers) — drives the cache-footprint penalty.
         self._footprint: dict = {}
-        #: Live flush-timer groups keyed by ``(owner_wid, deadline)``;
-        #: each holds one engine timer event shared by all buffers whose
-        #: flush timeout lands on that exact deadline.
-        self._timer_groups: dict = {}
         self._ns = f"tram/{next(_instance_ids)}/{self.name}"
         rt.register_handler(self._ns + ".w", self._on_worker_msg)
         rt.register_handler(self._ns + ".p", self._on_process_msg)
@@ -371,8 +337,6 @@ class SchemeBase:
         else:
             payload = buf.take(k)
             count = payload.count
-        if buf.empty and buf.timer_event is not None:
-            self._release_timer(buf)
         dst_process, dst_worker = buf.dest
         self._emit_message(ctx, payload, count, dst_process, dst_worker, full=full)
 
@@ -427,8 +391,8 @@ class SchemeBase:
         """Reliability-layer callback: the channel to ``dst_process`` is
         lossy beyond repair. Stop pooling items behind it — subsequent
         inserts for that pair travel as direct worker-addressed sends,
-        flush timers escalate, and whatever is already buffered at the
-        source is pushed out immediately."""
+        and whatever is already buffered at the source is pushed out
+        immediately."""
         pair = (src_process, dst_process)
         if self._degraded is None:
             self._degraded = set()
@@ -436,9 +400,6 @@ class SchemeBase:
             return
         self._degraded.add(pair)
         self.stats.degraded_destinations += 1
-        if self.config.flush_timeout_ns is not None:
-            self._flush_timeout_scale = 1.0 / self.config.degraded_flush_divisor
-            self.stats.flush_escalations += 1
         for wid in self.rt.machine.workers_of_process(src_process):
             if self._has_pending(wid):
                 self.rt.worker(wid).post_task(
@@ -524,8 +485,6 @@ class SchemeBase:
                 buf.drain(n)
             else:
                 buf.take(n)
-        if buf.timer_event is not None:
-            self._release_timer(buf)
         return n
 
     def _note_dead_peer_drop(self, items: int) -> None:
@@ -553,19 +512,16 @@ class SchemeBase:
     def on_overload(self) -> None:
         """Flow-controller callback: the pipeline is congested.
 
-        Stretch flush timers (fire less often) and grow the effective
-        buffer capacity (fewer, larger messages) by the configured
-        factors until the overload clears. The inverse of the degraded
-        escalation: overload wants *less* message pressure, a lossy
-        channel wants items out *faster*.
+        Grow the effective buffer capacity (fewer, larger messages) by
+        ``TramConfig.overload_buffer_growth`` until the overload clears.
+        The inverse of the degraded fallback: overload wants *less*
+        message pressure, a lossy channel wants items out *faster*.
         """
-        self._overload_flush_scale = self.config.overload_flush_stretch
         self._overload_capacity_mult = self.config.overload_buffer_growth
         self.stats.overload_escalations += 1
 
     def on_overload_cleared(self) -> None:
         """Flow-controller callback: backlog drained; restore defaults."""
-        self._overload_flush_scale = 1.0
         self._overload_capacity_mult = 1.0
 
     def _direct_fallback_item(self, ctx, item: Item) -> None:
@@ -631,55 +587,6 @@ class SchemeBase:
 
     def _flush_task(self, ctx) -> None:
         self._flush_worker(ctx, ctx.worker.wid)
-
-    def _arm_timer(self, buf: Buffer, owner_wid: int) -> None:
-        timeout = self.config.flush_timeout_ns
-        if timeout is None or buf.timer_event is not None or buf.empty:
-            return
-        # Scales are exactly 1.0 until a destination degrades or the
-        # flow controller escalates, so the default timer arithmetic is
-        # unchanged bit for bit.
-        engine = self.rt.engine
-        deadline = engine.now + (
-            timeout * self._flush_timeout_scale * self._overload_flush_scale
-        )
-        key = (owner_wid, deadline)
-        group = self._timer_groups.get(key)
-        if group is None:
-            # Armed with timer_at so it waits in the engine's timer
-            # queue; a capacity-triggered send that empties every
-            # member cancels it.
-            group = _TimerGroup(key)
-            group.event = engine.timer_at(deadline, self._timer_group_fire, key)
-            self._timer_groups[key] = group
-        group.buffers[id(buf)] = buf
-        buf.timer_event = group
-
-    def _release_timer(self, buf: Buffer) -> None:
-        """Detach an emptied buffer from its flush-deadline group; the
-        shared timer event is cancelled once no members remain."""
-        group = buf.timer_event
-        buf.timer_event = None
-        members = group.buffers
-        del members[id(buf)]
-        if not members:
-            self.rt.engine.cancel(group.event)
-            del self._timer_groups[group.key]
-
-    def _timer_group_fire(self, key) -> None:
-        group = self._timer_groups.pop(key)
-        worker = self.rt.worker(key[0])
-        for buf in group.buffers.values():
-            buf.timer_event = None
-            if not buf.empty:
-                worker.post_task(self._flush_buffer_task, buf)
-
-    def _flush_buffer_task(self, ctx, buf: Buffer) -> None:
-        if buf.empty:
-            return
-        if self._defer_if_gated(ctx.worker.wid):
-            return
-        self._send_chunk(ctx, buf, buf.count, full=False)
 
     def _maybe_priority_flush(self, ctx, buf: Buffer, item: Item) -> bool:
         """Priority-aware flushing (paper future work): urgent item ->

@@ -77,7 +77,6 @@ class WNsScheme(SchemeBase):
         buf = self._get(src, dst_node, item_mode=True)
         ctx.charge(self.rt.costs.item_insert_ns * self._insert_penalty(src))
         buf.add(item)
-        self._arm_timer(buf, src)
         if not self._maybe_priority_flush(ctx, buf, item):
             self._drain_full(ctx, buf)
 
@@ -97,7 +96,6 @@ class WNsScheme(SchemeBase):
                 now,
                 dst_slot_counts=counts[node * wpn : (node + 1) * wpn],
             )
-            self._arm_timer(buf, src)
             self._drain_full(ctx, buf)
 
     # ------------------------------------------------------------------
@@ -114,8 +112,6 @@ class WNsScheme(SchemeBase):
         else:
             payload = buf.take(k)
             count = payload.count
-        if buf.empty and buf.timer_event is not None:
-            self._release_timer(buf)
         dst_node, _ = buf.dest
         src = ctx.worker.wid
         procs = self.rt.machine.processes_of_node(dst_node)
@@ -397,7 +393,6 @@ class NNScheme(WNsScheme):
         ctx.charge(self._atomic_charge() * self._insert_penalty(("n", src_node)))
         self.stats.atomic_inserts += 1
         buf.add(item)
-        self._arm_timer(buf, src)
         if not self._maybe_priority_flush(ctx, buf, item):
             self._drain_full(ctx, buf)
 
@@ -421,7 +416,6 @@ class NNScheme(WNsScheme):
                 dst_slot_counts=counts[node * wpn : (node + 1) * wpn],
                 src_slot=src_slot,
             )
-            self._arm_timer(buf, src)
             self._drain_full(ctx, buf)
 
     def flush_when_done(self, ctx) -> None:

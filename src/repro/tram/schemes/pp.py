@@ -82,7 +82,6 @@ class PPScheme(SchemeBase):
         )
         self.stats.atomic_inserts += 1
         buf.add(item)
-        self._arm_timer(buf, src)
         if not self._maybe_priority_flush(ctx, buf, item):
             self._drain_full(ctx, buf)
 
@@ -108,7 +107,6 @@ class PPScheme(SchemeBase):
                 dst_slot_counts=counts[p * t : (p + 1) * t],
                 src_slot=src_slot,
             )
-            self._arm_timer(buf, src)
             self._drain_full(ctx, buf)
 
     def _flush_worker(self, ctx, wid: int) -> None:

@@ -125,7 +125,6 @@ class Routed2DScheme(SchemeBase):
         buf = self._get(self._by_worker[src], hop, owner=src)
         ctx.charge(self.rt.costs.item_insert_ns * self._insert_penalty(src))
         buf.add(item)
-        self._arm_timer(buf, src)
         if not self._maybe_priority_flush(ctx, buf, item):
             self._drain_full_hop(ctx, buf, hop)
 
@@ -141,8 +140,8 @@ class Routed2DScheme(SchemeBase):
             self._send_hop(ctx, buf, g, hop, full=True)
 
     def _send_chunk(self, ctx, buf: Buffer, k: int, *, full: bool) -> None:
-        # Base-class flush paths (timer, priority) land here; the hop is
-        # recorded in the buffer's dest.
+        # The base-class priority flush lands here; the hop is recorded
+        # in the buffer's dest.
         hop, _ = buf.dest
         self._send_hop(ctx, buf, k, hop, full=full)
 
@@ -154,8 +153,6 @@ class Routed2DScheme(SchemeBase):
         if k == 0:
             return
         items = buf.drain(k)
-        if buf.empty and buf.timer_event is not None:
-            self._release_timer(buf)
         from repro.network.message import NetMessage
         from repro.obs.spans import MsgSpan
 
@@ -214,7 +211,6 @@ class Routed2DScheme(SchemeBase):
                 )
                 ctx.charge(costs.item_insert_ns)
                 buf.add(item)
-                self._arm_timer(buf, ctx.worker.wid)
                 if buf.count >= self.config.buffer_items:
                     self._send_hop(
                         ctx, buf, self.config.buffer_items, hop,
@@ -258,18 +254,16 @@ class Routed2DScheme(SchemeBase):
             buf = bufs.pop(pid, None)
             if buf is not None:
                 dropped += self._reseat(
-                    buf, machine.process_of_worker(wid), bufs, wid, wid
+                    buf, machine.process_of_worker(wid), bufs, wid
                 )
         for at, bufs in enumerate(self._forward):
             buf = bufs.pop(pid, None)
             if buf is not None:
-                owner_wid = machine.workers_of_process(at).start
-                dropped += self._reseat(buf, at, bufs, ("f", at), owner_wid)
+                dropped += self._reseat(buf, at, bufs, ("f", at))
         if dropped:
             self._note_dead_peer_drop(dropped)
 
-    def _reseat(self, buf: Buffer, at_process: int, bufs: dict,
-                owner, owner_wid: int) -> int:
+    def _reseat(self, buf: Buffer, at_process: int, bufs: dict, owner) -> int:
         """Move a dead-hop buffer's items to their failover hops.
 
         Returns the number of items dropped because their final
@@ -278,8 +272,6 @@ class Routed2DScheme(SchemeBase):
         machine = self.rt.machine
         dead = self._dead_peers
         items = buf.drain(buf.count) if buf.count else []
-        if buf.timer_event is not None:
-            self._release_timer(buf)
         dropped = 0
         for item in items:
             dst_process = machine.process_of_worker(item.dst)
@@ -289,7 +281,6 @@ class Routed2DScheme(SchemeBase):
             hop = self._route(at_process, dst_process)
             nb = self._get(bufs, hop, owner)
             nb.add(item)
-            self._arm_timer(nb, owner_wid)
         return dropped
 
     def _buffers_hosted_by(self, pid: int) -> Iterable[Buffer]:

@@ -56,7 +56,6 @@ class WPsScheme(SchemeBase):
         buf = self._get(src, dst_process, item_mode=True)
         ctx.charge(self.rt.costs.item_insert_ns * self._insert_penalty(src))
         buf.add(item)
-        self._arm_timer(buf, src)
         if not self._maybe_priority_flush(ctx, buf, item):
             self._drain_full(ctx, buf)
 
@@ -73,7 +72,6 @@ class WPsScheme(SchemeBase):
             buf.add_counts(
                 int(per_proc[p]), now, dst_slot_counts=counts[p * t : (p + 1) * t]
             )
-            self._arm_timer(buf, src)
             self._drain_full(ctx, buf)
 
     def _flush_worker(self, ctx, wid: int) -> None:

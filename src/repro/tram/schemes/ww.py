@@ -53,7 +53,6 @@ class WWScheme(SchemeBase):
         buf = self._get(src, item.dst, item_mode=True)
         ctx.charge(self.rt.costs.item_insert_ns * self._insert_penalty(src))
         buf.add(item)
-        self._arm_timer(buf, src)
         if not self._maybe_priority_flush(ctx, buf, item):
             self._drain_full(ctx, buf)
 
@@ -66,7 +65,6 @@ class WWScheme(SchemeBase):
             dst = int(dst)
             buf = self._get(src, dst, item_mode=False)
             buf.add_counts(int(counts[dst]), now)
-            self._arm_timer(buf, src)
             self._drain_full(ctx, buf)
 
     def _flush_worker(self, ctx, wid: int) -> None:

@@ -210,7 +210,7 @@ class TramStats:
     items_bypassed_local: int = 0
     #: Messages sent because a buffer filled.
     messages_full: int = 0
-    #: Messages sent by explicit / idle / timer / priority flushes.
+    #: Messages sent by explicit / idle / priority flushes.
     messages_flush: int = 0
     bytes_sent: int = 0
     #: Items inserted through the PP shared-buffer atomic path.
@@ -235,10 +235,12 @@ class TramStats:
     #: Items sent as direct per-item messages because their destination
     #: pair was degraded.
     direct_fallback_sends: int = 0
-    #: Flush-timer escalations performed when a destination degraded.
+    #: Always 0: no flush runs on a timer, so there is nothing to
+    #: escalate. Kept because the key is in the ``repro.run-metrics/2``
+    #: tram block and registry, which pinned artifact digests cover.
     flush_escalations: int = 0
-    #: Times the flow controller escalated this scheme (timer stretch +
-    #: buffer growth) because the pipeline was overloaded.
+    #: Times the flow controller escalated this scheme (buffer growth)
+    #: because the pipeline was overloaded.
     overload_escalations: int = 0
     #: Items dropped (and loss-accounted) because their destination
     #: process was confirmed dead — at insert or in pooled buffers.

@@ -91,11 +91,3 @@ class TestDispatchAndHelpers:
         g = generate_uniform(32, 4, seed=7)
         total = sum(g.degree(v) for v in range(32))
         assert total == g.num_edges
-
-    def test_to_networkx(self):
-        nx = pytest.importorskip("networkx")
-        g = generate_uniform(20, 3, seed=8)
-        ng = g_to = None
-        ng = __import__("repro.apps.graphs", fromlist=["to_networkx"]).to_networkx(g)
-        assert ng.number_of_nodes() == 20
-        assert ng.number_of_edges() == g.num_edges

@@ -29,15 +29,13 @@ BLACKHOLE = FaultPlan(
 )
 
 
-def run_degraded(scheme="WPs", flush_timeout_ns=None, late_items=60):
+def run_degraded(scheme="WPs", late_items=60):
     rt = RuntimeSystem(
         MACHINE, seed=5, faults=BLACKHOLE, reliability=TRIP_FAST
     )
     tram = make_scheme(
         scheme, rt,
-        TramConfig(
-            buffer_items=16, idle_flush=True, flush_timeout_ns=flush_timeout_ns
-        ),
+        TramConfig(buffer_items=16, idle_flush=True),
         deliver_item=lambda ctx, it: None,
     )
     W = MACHINE.total_workers
@@ -82,19 +80,10 @@ class TestDegradedMode:
         ) == st.items_inserted
         assert rt.reliable.pending_count() == 0
 
-    def test_flush_timer_escalates_on_degrade(self):
-        rt, tram, _ = run_degraded("WPs", flush_timeout_ns=50_000.0)
-        st = tram.stats
-        assert st.degraded_destinations >= 1
-        assert st.flush_escalations >= 1
-        divisor = tram.config.degraded_flush_divisor
-        assert tram._flush_timeout_scale == pytest.approx(1.0 / divisor)
-
     def test_no_escalation_without_flush_timer(self):
-        _, tram, _ = run_degraded("WPs", flush_timeout_ns=None)
+        _, tram, _ = run_degraded("WPs")
         assert tram.stats.degraded_destinations >= 1
         assert tram.stats.flush_escalations == 0
-        assert tram._flush_timeout_scale == 1.0
 
     def test_healthy_destinations_stay_aggregated(self):
         # Three nodes, node 1 blackholed: every channel whose data *or*

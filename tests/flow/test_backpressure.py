@@ -207,20 +207,16 @@ class TestOverload:
         assert tram.stats.overload_escalations >= 1
         assert tram.stats.items_delivered == tram.stats.items_inserted
         # Escalation state resets when the overload clears.
-        assert tram._overload_flush_scale == 1.0
         assert tram._overload_capacity_mult == 1.0
 
-    def test_escalation_stretches_flush_timer(self):
+    def test_escalation_grows_buffer_capacity(self):
         rt = RuntimeSystem(SMP, seed=0, flow=TINY)
         tram = make_scheme(
             "WW", rt,
-            TramConfig(buffer_items=4, overload_flush_stretch=8.0,
-                       overload_buffer_growth=3.0),
+            TramConfig(buffer_items=4, overload_buffer_growth=3.0),
             deliver_item=lambda ctx, it: None,
         )
         tram.on_overload()
-        assert tram._overload_flush_scale == 8.0
         assert tram._overload_capacity_mult == 3.0
         tram.on_overload_cleared()
-        assert tram._overload_flush_scale == 1.0
         assert tram._overload_capacity_mult == 1.0

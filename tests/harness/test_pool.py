@@ -715,9 +715,30 @@ def _journal_points(journal):
     return [d for d in docs if d.get("kind") == "point"]
 
 
-def _interrupt_mid_sweep(tmp_path, signum):
+def _proc_stat(pid):
+    """``(state, starttime)`` of ``pid`` from ``/proc``, or None once it
+    is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            fields = f.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], fields[19]
+
+
+def _children_of(pid):
+    """Child pids of ``pid`` mapped to their start times."""
+    with open(f"/proc/{pid}/task/{pid}/children") as f:
+        pids = [int(p) for p in f.read().split()]
+    stats = {p: _proc_stat(p) for p in pids}
+    return {p: st[1] for p, st in stats.items() if st is not None}
+
+
+def _interrupt_mid_sweep(tmp_path, signum, children=None):
     """Start the sweep CLI, signal it once >=2 points are journaled,
-    and return (returncode, cache_dir, journal_path)."""
+    and return (returncode, cache_dir, journal_path). When ``children``
+    is a dict, the sweep's child pids (with start times) are recorded
+    into it just before the signal."""
     import subprocess
 
     cache = tmp_path / "cache"
@@ -745,6 +766,8 @@ def _interrupt_mid_sweep(tmp_path, signum):
             time.sleep(0.05)
         else:
             pytest.fail("journal never accumulated 2 points")
+        if children is not None:
+            children.update(_children_of(proc.pid))
         proc.send_signal(signum)
         rc = proc.wait(timeout=60)
     finally:
@@ -808,3 +831,31 @@ class TestInterruptSemantics:
         assert summary["executed"] == 8 - summary["cache_hits"]
         ref = self._reference_artifact(tmp_path)
         assert canonical_metrics_bytes(resumed) == canonical_metrics_bytes(ref)
+
+    def test_parent_sigkill_leaves_no_orphan_workers(self, tmp_path):
+        me = os.getpid()
+        if not os.path.exists(f"/proc/{me}/task/{me}/children"):
+            pytest.skip("kernel does not expose /proc/<pid>/task/<pid>/children")
+        workers = {}
+        rc, _, _ = _interrupt_mid_sweep(tmp_path, signal.SIGKILL, workers)
+        assert rc == -signal.SIGKILL
+        assert workers  # the parent had forked its pool
+
+        def alive():
+            # Zombies and a changed start time (pid reuse) count as exited.
+            out = []
+            for pid, start in workers.items():
+                st = _proc_stat(pid)
+                if st is not None and st[0] not in "ZX" and st[1] == start:
+                    out.append(pid)
+            return out
+
+        deadline = time.monotonic() + 10
+        survivors = alive()
+        while survivors and time.monotonic() < deadline:
+            time.sleep(0.1)
+            survivors = alive()
+        for pid in survivors:  # leave nothing behind, even on failure
+            os.kill(pid, signal.SIGKILL)
+        # Orphaned workers must see EOF on their task pipe and exit.
+        assert survivors == []

@@ -46,8 +46,3 @@ class TestExamples:
         out = run_example("custom_hybrid_scheme.py", capsys)
         assert "hybrid" in out
         assert "Direct" in out
-
-    def test_distributed_quiescence(self, capsys):
-        out = run_example("distributed_quiescence.py", capsys)
-        assert "quiescence declared" in out
-        assert "detection lag" in out

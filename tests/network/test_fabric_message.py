@@ -41,11 +41,6 @@ class TestNetMessage:
         )
         assert m2.addressed_to_worker()
 
-    def test_message_ids_unique(self):
-        a = NetMessage(kind="k", src_worker=0, dst_process=0, size_bytes=1)
-        b = NetMessage(kind="k", src_worker=0, dst_process=0, size_bytes=1)
-        assert a.msg_id != b.msg_id
-
     def test_route_enum_members(self):
         assert {r.value for r in Route} == {
             "intra_process",

@@ -85,7 +85,7 @@ class TestEngineChaining:
 # ----------------------------------------------------------------------
 # Delays are multiples of 250 ns so exact deadline ties are common, and
 # the script interleaves arms, cancels, and horizon-split runs — the
-# workload shape of retransmit and flush timers. Each arm also draws the
+# workload shape of retransmit and ack timers. Each arm also draws the
 # owner it is allocated under and a zero-delay follow-up its callback
 # schedules (none, through ``after``, or through the arm call itself):
 # on a multi-owner engine a follow-up can take a smaller seq than an

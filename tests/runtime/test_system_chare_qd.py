@@ -118,6 +118,23 @@ class TestQDCounter:
         with pytest.raises(QuiescenceError):
             qd.consume(-1)
 
+    def test_lost_items_balance_the_counter(self):
+        qd = QDCounter()
+        qd.produce(10)
+        qd.consume(7)
+        assert not qd.balanced
+        assert qd.outstanding == 3
+        qd.note_lost(3)
+        assert qd.balanced
+        assert qd.outstanding == 0
+        assert qd.lost == 3
+
+    def test_require_balanced_reports_loss(self):
+        qd = QDCounter()
+        qd.produce(5)
+        qd.consume(5)
+        qd.require_balanced()  # no raise
+
 
 class TestReceiverPolicy:
     def test_fixed_policy_pins_first_pe(self, tiny_rt):

@@ -19,8 +19,8 @@ class TestTramConfig:
         [
             dict(buffer_items=0),
             dict(item_bytes=0),
-            dict(flush_timeout_ns=0.0),
-            dict(flush_timeout_ns=-5.0),
+            dict(overload_buffer_growth=0.5),
+            dict(buffer_items=-1),
             dict(latency_sample=-1),
         ],
     )

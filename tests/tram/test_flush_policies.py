@@ -1,5 +1,5 @@
-"""Flush policies: explicit, idle, timeout, priority (paper §III-B and
-the future-work prioritization feature)."""
+"""Flush policies: explicit, idle, priority (paper §III-B and the
+future-work prioritization feature)."""
 
 import pytest
 
@@ -61,40 +61,6 @@ class TestIdleFlush:
         rt.post(0, lambda ctx: ctx.charge(100.0))
         rt.run(max_events=10_000)
         assert tram.stats.messages_sent == 0
-
-
-class TestTimeoutFlush:
-    def test_timer_flushes_after_timeout(self):
-        rt, tram, delivered = build(flush_timeout_ns=5_000.0)
-        rt.post(0, lambda ctx: tram.insert(ctx, dst=7, payload="t"))
-        rt.run(max_events=10_000)
-        assert [p for _, p in delivered] == ["t"]
-        # Delivery happened after the timeout elapsed.
-        assert delivered[0][0] >= 5_000.0
-
-    def test_timer_cancelled_when_buffer_fills(self):
-        rt, tram, delivered = build(flush_timeout_ns=1e9)
-        # g=100; fill the buffer so it is sent as full long before the
-        # (huge) timeout. Engine must still drain (timer cancelled).
-        def driver(ctx):
-            for i in range(100):
-                tram.insert(ctx, dst=7, payload=i)
-
-        rt.post(0, driver)
-        stats = rt.run(max_events=100_000)
-        assert tram.stats.messages_full == 1
-        assert len(delivered) == 100
-        # Quiescence well before the timer horizon proves cancellation.
-        assert stats.end_time < 1e9
-
-    def test_timer_rearms_for_later_inserts(self):
-        rt, tram, delivered = build(flush_timeout_ns=5_000.0)
-        rt.post(0, lambda ctx: tram.insert(ctx, dst=7, payload="a"))
-        rt.post(0, lambda ctx: tram.insert(ctx, dst=7, payload="b"),
-                delay=20_000.0)
-        rt.run(max_events=10_000)
-        assert [p for _, p in delivered] == ["a", "b"]
-        assert tram.stats.messages_flush == 2
 
 
 class TestPriorityFlush:
