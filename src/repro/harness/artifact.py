@@ -73,7 +73,12 @@ def _figure_dict(figure: Any) -> dict:
 
 
 def _null_nan(value: Any) -> Any:
-    """Non-finite floats (poisoned points) serialize as JSON null."""
+    """Non-finite floats serialize as JSON null.
+
+    A metric may legitimately come out NaN (an empty mean, a rate over
+    zero items), and so may a cell mean with no finite value; JSON has
+    no NaN, so the artifact writes null.
+    """
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
@@ -505,51 +510,18 @@ def _check_provenance(prov: Any, errors: List[str]) -> None:
     if isinstance(summary, dict):
         if summary.get("n_points") != len(points):
             errors.append("provenance.summary.n_points != len(points)")
-        poisoned = sum(
-            1
-            for p in points
-            if isinstance(p, dict) and p.get("status") == "poisoned"
-        )
         hits = sum(
-            1
-            for p in points
-            if isinstance(p, dict)
-            and p.get("cache_hit")
-            and p.get("status") != "poisoned"
+            1 for p in points if isinstance(p, dict) and p.get("cache_hit")
         )
         if summary.get("cache_hits") != hits:
             errors.append(
                 "provenance.summary.cache_hits does not match points"
             )
-        if summary.get("executed") != len(points) - hits - poisoned:
+        # Conservation: n_points == cache_hits + executed. A summary
+        # that counts points outside both (an older artifact's poisoned
+        # points) fails here.
+        if summary.get("executed") != len(points) - hits:
             errors.append("provenance.summary.executed does not match points")
-        # Supervisor-era summaries (with a "poisoned" key) must close
-        # the conservation exactly; older /2 artifacts predate it.
-        if "poisoned" in summary:
-            if summary.get("poisoned") != poisoned:
-                errors.append(
-                    "provenance.summary.poisoned does not match points"
-                )
-            total = (
-                summary.get("cache_hits", 0)
-                + summary.get("executed", 0)
-                + summary.get("poisoned", 0)
-            )
-            if total != summary.get("n_points"):
-                errors.append(
-                    "provenance conservation violated: n_points != "
-                    "cache_hits + executed + poisoned "
-                    f"({summary.get('n_points')} != {total})"
-                )
-            for i, point in enumerate(points):
-                if (
-                    isinstance(point, dict)
-                    and point.get("status") == "poisoned"
-                    and not point.get("error")
-                ):
-                    errors.append(
-                        f"provenance.points[{i}]: poisoned without an error"
-                    )
 
 
 def validate_metrics_payload(payload: Any) -> List[str]:

@@ -125,23 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "its stride) so memory stays bounded (default: 512)"
         ),
     )
-    telemetry.add_argument(
-        "--status",
-        action="store_true",
-        help="render a live fleet-status line (queue depth, hit rate, "
-        "throughput, ETA) to stderr while sweep points run",
-    )
-    telemetry.add_argument(
-        "--status-json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "rewrite PATH atomically with live fleet status (schema "
-            "repro.fleet-status/2) as sweep points complete — the "
-            "machine-readable surface for external monitors"
-        ),
-    )
     parallel = parser.add_argument_group("parallel execution and caching")
     parallel.add_argument(
         "--parallel",
@@ -150,8 +133,10 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "dispatch sweep/figure grid points to N worker processes "
-            "(work-stealing pool; results are merged deterministically "
-            "by grid index, so output is identical to a serial run)"
+            "(work-stealing fork pool; results are merged "
+            "deterministically by grid index, so output is identical to "
+            "a serial run; a point that raises fails the run, a point "
+            "whose worker is killed is requeued once)"
         ),
     )
     parallel.add_argument(
@@ -175,7 +160,13 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="ignore existing cache entries (still writes fresh ones)",
     )
-    parallel.add_argument(
+    recovery = parser.add_argument_group(
+        "crash recovery ('sweep' target)",
+        "a journaled sweep fsyncs every completed point, so one stopped "
+        "by a failed point, a drain signal (exit 3) or a killed parent "
+        "resumes where it stopped",
+    )
+    recovery.add_argument(
         "--resume",
         action="store_true",
         help=(
@@ -184,37 +175,13 @@ def _build_parser() -> argparse.ArgumentParser:
             "so only the points the previous run never resolved are run"
         ),
     )
-    fault = parser.add_argument_group("fault tolerance (sweep execution)")
-    fault.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "retry a failed point up to N times with seeded exponential "
-            "backoff; a point that fails every attempt is quarantined "
-            "as 'poisoned' (null in the artifact) instead of failing "
-            "the sweep (default: 0 — fail fast)"
-        ),
-    )
-    fault.add_argument(
-        "--point-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "wall-clock budget per point in parallel runs; a worker "
-            "stuck past it is killed and the attempt counts as a "
-            "failure (retried/quarantined per --retries)"
-        ),
-    )
-    fault.add_argument(
+    recovery.add_argument(
         "--journal",
         type=Path,
         default=None,
         metavar="PATH",
         help=(
-            "append-only JSONL journal of resolved points, fsync'd per "
+            "append-only JSONL journal of completed points, fsync'd per "
             "record (default for 'sweep' with caching on: "
             "<cache-dir>/sweep-journal.jsonl); --resume replays it"
         ),
@@ -339,10 +306,6 @@ def _pool_config(args) -> PoolConfig:
         cache_dir=cache_dir,
         cache_read=not args.fresh,
         max_executions=args.max_points,
-        status=args.status,
-        status_json=args.status_json,
-        retries=args.retries,
-        point_timeout_s=args.point_timeout,
         journal=journal,
         resume=args.resume,
         drain_signals=sweep,

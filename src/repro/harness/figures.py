@@ -731,8 +731,8 @@ def run_figure(
     for the figure's grid-shaped bodies: points are dispatched to
     worker processes and/or replayed from the content-addressed result
     cache, with identical figure data and artifact contents either way
-    (modulo the provenance block). Figures fail fast on an exhausted
-    point (no quarantine) — a figure with holes in it is not a figure.
+    (modulo the provenance block). A point that raises fails the
+    figure; a point whose worker is killed is requeued once.
 
     With ``metrics_path`` set, the figure body runs inside an
     :class:`~repro.obs.config.ObsSession` (stage-attributed latency
@@ -749,11 +749,9 @@ def run_figure(
     if metrics_path is None and options is None and pool is None:
         return fn(profile)
 
-    from dataclasses import replace
-
     from repro.harness.pool import PoolConfig, harness_session
 
-    pool = replace(pool or PoolConfig(), quarantine=False)
+    pool = pool or PoolConfig()
     collect = metrics_path is not None
     with harness_session(options, pool, collect) as (session, ctx, in_effect):
         if session is not None:

@@ -1,34 +1,32 @@
 """Crash-consistent sweep journal: append-only JSONL of completed points.
 
-The result cache makes *identical* points resumable, but it only covers
-clean executions: poisoned points are never cached (their failure may be
-environmental), and a sweep running without a cache has no durable state
-at all. The journal closes that gap. The supervisor appends one fsync'd
-JSON line per resolved point — executed or poisoned — so the on-disk
-file is always a consistent prefix of the sweep no matter when the
-parent dies (``kill -9`` included: a torn final line is detected and
-dropped on replay).
+The result cache makes *identical* points resumable, but a sweep
+running without a cache has no durable state at all. The journal
+closes that gap. The pool appends one fsync'd JSON line per completed
+point, so the on-disk file is always a consistent prefix of the sweep
+no matter when the parent dies (``kill -9`` included: a torn final
+line is detected and dropped on replay) or why the sweep stopped (a
+failed point, a drain, a point whose worker died twice).
 
 Layout::
 
-    {"kind": "header", "schema": "repro.sweep-journal/1",
+    {"kind": "header", "schema": "repro.sweep-journal/2",
      "fingerprint": <sha256 over tag + grid + seeds + cost model
                      + run options>,
      "n_points": 8}
-    {"kind": "point", "index": 3, "status": "ok", "value": ..,
-     "records": [..], "retries": 0, ...}
+    {"kind": "point", "index": 3, "value": .., "records": [..], ...}
     ...
     {"kind": "complete", "n_recorded": 8}
 
 The fingerprint (:func:`repro.harness.cache.fingerprint`, the same one
 that addresses the result cache) pins the journal to one exact sweep:
 ``--resume`` replays only a journal whose header matches the grid being
-executed (same tag, same points in the same order, same cost-model
-constants, same run options), so a stale journal from a different sweep
-in the same directory is ignored and overwritten rather than corrupting
-results. Replayed entries carry the point's value *and* its
-observability records, which is what keeps a resumed sweep's artifact
-canonical-byte-identical to an uninterrupted run.
+executed (same schema, same tag, same points in the same order, same
+cost-model constants, same run options), so a stale journal from a
+different sweep in the same directory is ignored and overwritten rather
+than corrupting results. Replayed entries carry the point's value *and*
+its observability records, which is what keeps a resumed sweep's
+artifact canonical-byte-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -39,10 +37,10 @@ from pathlib import Path
 from typing import Any, Dict, Mapping
 
 #: Bump on any change to the record layout or fingerprint ingredients.
-JOURNAL_SCHEMA = "repro.sweep-journal/1"
-
-#: Cap on the traceback text persisted per poisoned point.
-_ERROR_CHARS = 4000
+#: /2 dropped the per-point ``status``/``retries``/``error`` fields: a
+#: /1 journal may hold failed entries with a null value, so it is
+#: rotated rather than replayed.
+JOURNAL_SCHEMA = "repro.sweep-journal/2"
 
 
 def _jsonable(obj: Any) -> Any:
@@ -52,7 +50,7 @@ def _jsonable(obj: Any) -> Any:
 
 
 class SweepJournal:
-    """Append-only JSONL writer for one sweep's resolved points.
+    """Append-only JSONL writer for one sweep's completed points.
 
     Use :meth:`open` (which handles header/rotation logic) rather than
     the constructor. Every append is flushed and fsync'd before
@@ -124,10 +122,7 @@ class SweepJournal:
         os.fsync(self._fh.fileno())
 
     def record_point(self, outcome: Any) -> None:
-        """Durably append one resolved point (executed or poisoned)."""
-        error = outcome.error
-        if error is not None and len(error) > _ERROR_CHARS:
-            error = error[-_ERROR_CHARS:]
+        """Durably append one completed point."""
         self._append(
             {
                 "kind": "point",
@@ -135,11 +130,8 @@ class SweepJournal:
                 "seed": outcome.spec.seed,
                 "params": dict(outcome.spec.params),
                 "key": outcome.spec.key,
-                "status": outcome.status,
                 "value": outcome.value,
                 "records": outcome.records,
-                "retries": outcome.retries,
-                "error": error,
                 "worker": outcome.worker,
                 "wall_s": outcome.wall_s,
             }

@@ -174,29 +174,21 @@ def utilization(rt: "RuntimeSystem") -> UtilizationReport:
     )
 
 
-def pool_summary(points: List[dict], restarts: int = 0) -> dict:
+def pool_summary(points: List[dict]) -> dict:
     """Aggregate sweep-pool provenance into an efficiency report.
 
     ``points`` are the per-point provenance dicts the pool records
-    (index, cache_hit, worker, wall_s, status, retries, ...). The
-    summary answers the fleet questions: how many points were free
-    cache hits, how the executed work spread across workers, how much
-    execution wall-clock the pool absorbed (``exec_wall_s`` is the
-    *sum* over points — with N busy workers the elapsed time is
-    roughly 1/N of it; the gap between them is the parallel win), and
-    — under faults — how many points needed retries, how many were
-    quarantined as ``poisoned``, and how many workers were respawned.
+    (index, cache_hit, worker, wall_s, ...). The summary answers the
+    pool questions: how many points were free cache hits, how the
+    executed work spread across workers, and how much execution
+    wall-clock the pool absorbed (``exec_wall_s`` is the *sum* over
+    points — with N busy workers the elapsed time is roughly 1/N of
+    it; the gap between them is the parallel win).
 
-    Conservation: ``n_points == cache_hits + executed + poisoned``
-    always holds exactly (``retried_ok`` points are counted inside
-    ``executed``); the artifact validator enforces it.
+    Conservation: ``n_points == cache_hits + executed`` always holds
+    exactly; the artifact validator enforces it.
     """
-    poisoned = [p for p in points if p.get("status") == "poisoned"]
-    executed = [
-        p
-        for p in points
-        if not p.get("cache_hit") and p.get("status") != "poisoned"
-    ]
+    executed = [p for p in points if not p.get("cache_hit")]
     per_worker: dict = {}
     for p in executed:
         stats = per_worker.setdefault(
@@ -206,12 +198,8 @@ def pool_summary(points: List[dict], restarts: int = 0) -> dict:
         stats["wall_s"] += p.get("wall_s", 0.0)
     return {
         "n_points": len(points),
-        "cache_hits": len(points) - len(executed) - len(poisoned),
+        "cache_hits": len(points) - len(executed),
         "executed": len(executed),
-        "poisoned": len(poisoned),
-        "retried_ok": sum(1 for p in executed if p.get("retries")),
-        "retries": sum(int(p.get("retries") or 0) for p in points),
-        "restarts": int(restarts),
         "exec_wall_s": sum(p.get("wall_s", 0.0) for p in executed),
         "workers": dict(sorted(per_worker.items())),
     }

@@ -33,14 +33,14 @@ from repro.util.tables import render_table
 class SweepCell:
     """One grid point of a sweep.
 
-    Poisoned seed-runs (points quarantined after exhausting their
-    retry budget) appear as ``nan`` in :attr:`values`; the mean/std
-    aggregate over the finite values only, so one quarantined seed
-    degrades a cell's error bars instead of wiping out the cell.
+    A seed-run whose metric came out NaN (or a point fn returning None)
+    appears as ``nan`` in :attr:`values`; the mean/std aggregate over
+    the finite values only, so one undefined seed degrades a cell's
+    error bars instead of wiping out the cell.
     """
 
     params: Dict[str, Any]
-    #: Per-seed metric values, in seed order (``nan`` = poisoned).
+    #: Per-seed metric values, in seed order (``nan`` = undefined).
     values: Tuple[float, ...]
     #: Per-seed execution wall-clock (0.0 for replayed cache hits).
     wall_s: Tuple[float, ...] = ()
@@ -116,14 +116,6 @@ class SweepResult:
             f"pool: {n} point(s), {hits} cache hit(s) ({rate:.0%}), "
             f"{executed} executed in {wall:.2f}s"
         ]
-        poisoned = summary.get("poisoned", 0)
-        retries = summary.get("retries", 0)
-        restarts = summary.get("restarts", 0)
-        if poisoned or retries or restarts:
-            parts.append(
-                f"  faults: {retries} retry(ies), {poisoned} poisoned, "
-                f"{restarts} worker restart(s)"
-            )
         workers = summary.get("workers") or {}
         if len(workers) > 1 or (workers and "0" not in workers):
             per = ", ".join(
@@ -168,7 +160,7 @@ def run_sweep(
         stage breakdowns; see :mod:`repro.harness.artifact`).
     tag:
         Stable cache identity for ``fn``; required with a cache
-        directory when ``fn`` is a lambda/closure/partial.
+        directory or a journal when ``fn`` is a lambda/closure/partial.
     options:
         The :class:`~repro.options.RunOptions` every point runs under
         (faults, reliability, flow control, observability and its
@@ -178,10 +170,9 @@ def run_sweep(
     pool:
         The :class:`~repro.harness.pool.PoolConfig` executing the grid:
         worker processes (the aggregated result is identical at any
-        ``parallel``), the content-addressed result cache, the
-        crash-consistent journal, retries, fleet status. A point that
-        exhausts its retries or timeout is quarantined as ``nan``; a
-        plain sweep fails fast.
+        ``parallel``), the content-addressed result cache and the
+        crash-consistent journal. A point that raises fails the sweep;
+        a point whose worker is killed is requeued once.
     pool_fields:
         Shorthand for ``PoolConfig`` fields (``parallel=4``,
         ``cache_dir=...``, ``journal=...``), applied on top of ``pool``.
@@ -204,10 +195,6 @@ def run_sweep(
     ]
 
     config = replace(pool or PoolConfig(), **pool_fields)
-    config = replace(
-        config,
-        quarantine=bool(config.retries or config.point_timeout_s is not None),
-    )
     collect = metrics_path is not None
     with harness_session(options, config, collect) as (session, ctx, in_effect):
         outcomes = map_points(fn, combos, tag=tag, seeds=seeds)

@@ -1,6 +1,7 @@
 """Tests for the --metrics-out JSON artifact pipeline."""
 
 import json
+import math
 
 import pytest
 
@@ -146,6 +147,17 @@ class TestProvenanceValidation:
         assert any("cache_hits" in e
                    for e in validate_metrics_payload(payload))
 
+    def test_poisoned_points_break_conservation(self):
+        """Points counted outside cache_hits and executed (an older
+        artifact's quarantined points) fail the identity."""
+        payload = self._with_provenance(
+            [self._point(0), self._point(1)],
+            summary={"n_points": 2, "cache_hits": 0, "executed": 1,
+                     "poisoned": 1},
+        )
+        assert any("executed" in e
+                   for e in validate_metrics_payload(payload))
+
 
 class TestCanonicalBytes:
     def _payload(self):
@@ -247,6 +259,19 @@ class TestRunSweepArtifact:
         assert validate_metrics_payload(payload) == []
         assert payload["sweep"]["axes"] == {"z": [100, 200]}
         assert len(payload["runs"]) == 2  # one runtime per cell
+
+    def test_nan_cell_serializes_null_and_validates(self, tmp_path):
+        path = tmp_path / "nan.json"
+        result = run_sweep(
+            lambda x, seed: float("nan"), {"x": [0]}, metrics_path=path,
+        )
+        assert math.isnan(result.cells[0].values[0])
+        assert math.isnan(result.cells[0].mean)
+        payload = json.loads(path.read_text())
+        assert validate_metrics_payload(payload) == []
+        cell = payload["sweep"]["cells"][0]
+        assert cell["values"] == [None]
+        assert cell["mean"] is None
 
 
 class TestCli:

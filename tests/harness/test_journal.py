@@ -27,11 +27,8 @@ def _specs(n=3, tag_seed=0):
     ]
 
 
-def _outcome(spec, value=1.0, status="ok", error=None, retries=0):
-    return PointOutcome(
-        spec=spec, value=value, status=status, error=error, retries=retries,
-        worker=1, wall_s=0.25,
-    )
+def _outcome(spec, value=1.0):
+    return PointOutcome(spec=spec, value=value, worker=1, wall_s=0.25)
 
 
 class TestFingerprint:
@@ -64,7 +61,7 @@ class TestWriteAndReplay:
         fp = journal_fingerprint("t", specs)
         j = SweepJournal.open(path, fp, len(specs), resume=False)
         j.record_point(_outcome(specs[0]))
-        j.record_point(_outcome(specs[2], value=9.0, retries=1))
+        j.record_point(_outcome(specs[2], value=9.0))
         j.complete()
         j.close()
         lines = [json.loads(l) for l in path.read_text().splitlines()]
@@ -79,17 +76,12 @@ class TestWriteAndReplay:
         fp = journal_fingerprint("t", specs)
         j = SweepJournal.open(path, fp, len(specs), resume=False)
         j.record_point(_outcome(specs[1], value=4.0))
-        j.record_point(
-            _outcome(specs[2], value=None, status="poisoned", error="tb",
-                     retries=2)
-        )
+        j.record_point(_outcome(specs[2], value=9.0))
         j.close()
         entries = SweepJournal.replay(path, fp)
         assert set(entries) == {1, 2}
         assert entries[1]["value"] == 4.0
-        assert entries[2]["status"] == "poisoned"
-        assert entries[2]["error"] == "tb"
-        assert entries[2]["retries"] == 2
+        assert entries[2]["value"] == 9.0
 
     def test_replay_missing_file_is_empty(self, tmp_path):
         assert SweepJournal.replay(tmp_path / "nope.jsonl", "fp") == {}
@@ -125,19 +117,6 @@ class TestWriteAndReplay:
         j.record_point(_outcome(specs[0], value=2.0))
         j.close()
         assert SweepJournal.replay(path, fp)[0]["value"] == 2.0
-
-    def test_error_text_truncated(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        specs = _specs()
-        fp = journal_fingerprint("t", specs)
-        j = SweepJournal.open(path, fp, len(specs), resume=False)
-        j.record_point(
-            _outcome(specs[0], value=None, status="poisoned",
-                     error="x" * 10_000)
-        )
-        j.close()
-        entry = SweepJournal.replay(path, fp)[0]
-        assert len(entry["error"]) == 4000
 
 
 class TestRotation:
@@ -182,6 +161,26 @@ class TestRotation:
         # The stale journal was rotated out, never replayed into "t".
         assert SweepJournal.replay(path, fp) == {}
         assert SweepJournal.replay(path, old) == {}
+
+    def test_v1_journal_rotated_not_replayed(self, tmp_path):
+        """A /1 journal can hold failed entries with a null value; its
+        header never matches, so resume rotates it."""
+        path = tmp_path / "journal.jsonl"
+        specs = _specs()
+        fp = journal_fingerprint("t", specs)
+        v1 = [
+            {"kind": "header", "schema": "repro.sweep-journal/1",
+             "fingerprint": fp, "n_points": len(specs)},
+            {"kind": "point", "index": 0, "status": "poisoned",
+             "value": None, "records": [], "error": "tb"},
+        ]
+        path.write_text("".join(json.dumps(d) + "\n" for d in v1))
+        assert SweepJournal.replay(path, fp) == {}
+        j = SweepJournal.open(path, fp, len(specs), resume=True)
+        j.close()
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["schema"] == JOURNAL_SCHEMA == "repro.sweep-journal/2"
+        assert path.read_text().count("\n") == 1  # the /1 entries are gone
 
 
 _HISTO = functools.partial(

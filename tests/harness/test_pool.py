@@ -50,9 +50,10 @@ def _ambient(seed, *, x):
     return random.random()
 
 
-# Chaos point functions keyed off an out-of-band marker directory (env
-# var, never a point param) so the degraded runs keep the exact params
-# — and therefore the exact canonical artifact bytes — of clean runs.
+# Worker-killing point functions keyed off an out-of-band marker
+# directory (env var, never a point param) so the degraded runs keep the
+# exact params — and therefore the exact canonical artifact bytes — of
+# clean runs.
 _FAILDIR_ENV = "REPRO_TEST_FAILDIR"
 
 
@@ -68,13 +69,6 @@ def _marker_once(name):
     return True
 
 
-def _flaky(seed, *, x):
-    # Transient failure: the first attempt at every point fails.
-    if _marker_once(f"flaky-{x}-{seed}"):
-        raise ValueError(f"transient failure at x={x}")
-    return float(x * x + seed)
-
-
 def _kamikaze(seed, *, x):
     # One point SIGKILLs its worker mid-execution, once.
     if x == 2 and _marker_once("kamikaze"):
@@ -82,10 +76,11 @@ def _kamikaze(seed, *, x):
     return float(x * x + seed)
 
 
-def _sleeper(seed, *, x):
-    # One point hangs far past any sane timeout, once.
-    if x == 1 and _marker_once("sleeper"):
-        time.sleep(300)
+def _doomed(seed, *, x):
+    # One point SIGKILLs its worker on every attempt while the marker
+    # directory is configured.
+    if x == 2 and os.environ.get(_FAILDIR_ENV):
+        os.kill(os.getpid(), signal.SIGKILL)
     return float(x * x + seed)
 
 
@@ -252,6 +247,15 @@ class TestMapPointsSerial:
             with pytest.raises(HarnessError, match="stable point tag"):
                 map_points(lambda seed, x: float(x), [{"x": 1}])
 
+    def test_partial_with_journal_needs_tag(self, tmp_path):
+        """An untagged callable falls back to its repr, which holds a
+        per-process address: a journal keyed on it never resumes."""
+        with pytest.raises(HarnessError, match="stable point tag"):
+            run_sweep(
+                functools.partial(_square), {"x": [1]},
+                journal=tmp_path / "sweep.jsonl",
+            )
+
     def test_cache_hit_skips_execution(self, tmp_path):
         grid = [{"x": 3}, {"x": 4}]
         _CALLS.clear()
@@ -313,10 +317,15 @@ class TestMapPointsParallel:
         assert [o.spec.index for o in par] == list(range(12))
         assert workers <= {1, 2, 3} and workers  # pool workers, not parent
 
-    def test_worker_error_propagates(self):
-        with pool_session(PoolConfig(parallel=2)):
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_worker_error_propagates(self, parallel, tmp_path):
+        """A point that raises fails the sweep at once, serial or
+        parallel, and never reaches the cache."""
+        config = PoolConfig(parallel=parallel, cache_dir=tmp_path)
+        with pool_session(config):
             with pytest.raises(HarnessError, match="exploded"):
                 map_points(_boom, [{"x": 0}, {"x": 1}])
+        assert len(ResultCache(tmp_path)) == 0
 
     def test_ambient_rng_leak_diverges(self):
         """A point fn reading global RNG must not survive the identity
@@ -502,21 +511,20 @@ class TestSweepCli:
         rc = cli.main(["sweep", "--axes", "garbage"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", [
+        ["--retries", "1"], ["--point-timeout", "5"], ["--status"],
+        ["--status-json", "status.json"],
+    ])
+    def test_removed_supervision_flags_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.ARGS + ["--no-cache"] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 # ----------------------------------------------------------------------
-# Supervision: crash/hang recovery, retries, poison quarantine
+# Supervision: a killed worker's point is requeued once
 # ----------------------------------------------------------------------
-def _chaos(seed, *, x):
-    """All three failure modes behind one point fn (marker-gated)."""
-    if x == 2 and _marker_once("kamikaze"):
-        os.kill(os.getpid(), signal.SIGKILL)
-    if x == 1 and _marker_once("sleeper"):
-        time.sleep(300)
-    if x % 3 == 0 and _marker_once(f"flaky-{x}-{seed}"):
-        raise ValueError(f"transient failure at x={x}")
-    return float(x * x + seed)
-
-
 @pytest.fixture
 def faildir(tmp_path, monkeypatch):
     d = tmp_path / "faults"
@@ -525,134 +533,33 @@ def faildir(tmp_path, monkeypatch):
     return d
 
 
-class TestWorkerDiedMessage:
-    def test_terminal_failure_ships_traceback(self):
-        """A worker that dies outside point execution must put a final
-        ("died", wid, traceback) message before exiting (satellite 1)."""
-        import multiprocessing
-
-        from repro.harness.pool import _WORKER_DIED_EXIT, _worker_main
-
-        mp = multiprocessing.get_context("fork")
-        resq = mp.SimpleQueue()
-        parent_conn, child_conn = mp.Pipe()
-        # specs=None: the first slot lookup raises outside the per-point
-        # try/except, driving the terminal-failure path.
-        proc = mp.Process(
-            target=_worker_main,
-            args=(7, _square, None, False, child_conn, resq, []),
-        )
-        proc.start()
-        child_conn.close()
-        parent_conn.send(0)
-        msg = resq.get()
-        proc.join(10)
-        assert msg[0] == "died"
-        assert msg[1] == 7
-        assert "TypeError" in msg[2]
-        assert proc.exitcode == _WORKER_DIED_EXIT
-
-
 class TestSupervision:
     GRID = [{"x": i} for i in range(8)]
 
-    def _config(self, **kw):
-        base = dict(parallel=3, retries=2, backoff_base_s=0.01,
-                    quarantine=True)
-        base.update(kw)
-        return PoolConfig(**base)
-
     def test_sigkilled_worker_is_replaced(self, faildir):
-        with pool_session(self._config()) as ctx:
+        with pool_session(PoolConfig(parallel=3)) as ctx:
             outcomes = map_points(_kamikaze, self.GRID)
         assert [o.value for o in outcomes] == [float(i * i) for i in range(8)]
-        assert ctx.worker_restarts >= 1
-        assert ctx.poisoned == 0
+        assert ctx.executed == 8
         assert (faildir / "kamikaze").exists()  # the kill really happened
-
-    def test_hung_worker_is_killed_and_point_retried(self, faildir):
-        with pool_session(
-            self._config(point_timeout_s=2.0)
-        ) as ctx:
-            outcomes = map_points(_sleeper, self.GRID)
-        assert [o.value for o in outcomes] == [float(i * i) for i in range(8)]
-        assert ctx.worker_restarts >= 1
-        hung = outcomes[1]
-        assert hung.retries >= 1  # the timed-out attempt was charged
-
-    def test_transient_failures_retried_parallel(self, faildir):
-        with pool_session(self._config()) as ctx:
-            outcomes = map_points(_flaky, self.GRID)
-        assert [o.value for o in outcomes] == [float(i * i) for i in range(8)]
-        assert ctx.poisoned == 0
-        assert ctx.retried_ok == 8  # every point failed exactly once
-        assert ctx.retry_attempts == 8
-
-    def test_transient_failures_retried_serial(self, faildir):
-        with pool_session(self._config(parallel=1)) as ctx:
-            outcomes = map_points(_flaky, self.GRID)
-        assert [o.value for o in outcomes] == [float(i * i) for i in range(8)]
-        assert ctx.retried_ok == 8
-
-    def test_exhausted_point_poisoned_with_conservation(self):
-        grid = [{"x": 0}, {"x": 1}, {"x": 2}]
-        # Parallel path: every point exhausts its budget and quarantines.
-        with pool_session(self._config(retries=1)):
-            par = map_points(_boom, grid[:2], tag="poison-par")
-            assert [o.status for o in par] == ["poisoned", "poisoned"]
-        with pool_session(self._config(parallel=1, retries=1)) as ctx:
-            outcomes = map_points(
-                lambda seed, x: _boom(seed, x=x) if x == 1 else float(x),
-                grid,
-            )
-        assert [o.status for o in outcomes] == ["ok", "poisoned", "ok"]
-        poisoned = outcomes[1]
-        assert poisoned.value is None
-        assert "exploded" in poisoned.error
-        assert poisoned.retries == 1
-        summary = ctx.provenance_payload()["summary"]
-        assert summary["n_points"] == 3
-        assert summary["poisoned"] == 1
-        assert (
-            summary["cache_hits"] + summary["executed"] + summary["poisoned"]
-            == summary["n_points"]
-        )
-
-    def test_poisoned_point_never_cached(self, tmp_path):
-        with pool_session(
-            self._config(parallel=1, retries=1, cache_dir=tmp_path)
-        ):
-            map_points(_boom, [{"x": 5}])
-        assert len(ResultCache(tmp_path)) == 0
-
-    def test_without_quarantine_failure_still_fatal(self):
-        with pool_session(self._config(retries=1, quarantine=False)):
-            with pytest.raises(HarnessError, match="exploded"):
-                map_points(_boom, [{"x": 0}, {"x": 1}])
-
-    def test_restart_cap_aborts(self, faildir):
-        cfg = self._config(parallel=2, retries=5, max_restarts=0)
-        with pool_session(cfg):
-            with pytest.raises(HarnessError, match="gave up"):
-                map_points(_kamikaze, self.GRID)
 
     def test_chaos_artifact_byte_identical_to_clean_serial(
         self, tmp_path, faildir, monkeypatch
     ):
-        """The acceptance-criteria invariant: one SIGKILLed worker, one
-        hung worker, and transient failures — same canonical bytes as a
-        fault-free serial run."""
+        """A SIGKILLed worker's point is requeued and the sweep ends
+        with the same canonical bytes as a fault-free serial run."""
         chaos_p = tmp_path / "chaos.json"
         clean_p = tmp_path / "clean.json"
         axes = {"x": list(range(8))}
         chaos = run_sweep(
-            _chaos, axes, seeds=(0,), tag="chaos-inv",
-            metrics_path=chaos_p, parallel=3, retries=3,
-            point_timeout_s=2.0,
+            _kamikaze, axes, seeds=(0,), tag="chaos-inv",
+            metrics_path=chaos_p, parallel=3,
         )
+        assert (faildir / "kamikaze").exists()
         monkeypatch.delenv(_FAILDIR_ENV)
         clean = run_sweep(
-            _chaos, axes, seeds=(0,), tag="chaos-inv", metrics_path=clean_p,
+            _kamikaze, axes, seeds=(0,), tag="chaos-inv",
+            metrics_path=clean_p,
         )
         assert [c.values for c in chaos.cells] == [
             c.values for c in clean.cells
@@ -661,29 +568,37 @@ class TestSupervision:
         b = json.loads(clean_p.read_text())
         assert validate_metrics_payload(a) == []
         assert canonical_metrics_bytes(a) == canonical_metrics_bytes(b)
-        summary = a["provenance"]["summary"]
-        assert summary["poisoned"] == 0
-        assert summary["retries"] >= 3  # kill + hang + flaky all charged
-        assert summary["restarts"] >= 2
 
-    def test_poisoned_cell_serializes_null_and_validates(self, tmp_path):
-        path = tmp_path / "poisoned.json"
-        result = run_sweep(
-            _boom, {"x": [0]}, seeds=(0,), tag="poison-artifact",
-            metrics_path=path, retries=1,
+    def test_second_death_fails_then_resume_matches_clean(
+        self, tmp_path, faildir, monkeypatch
+    ):
+        """A point whose worker dies twice fails the sweep by name; the
+        journal keeps every point resolved before that, so a resume
+        runs only the rest."""
+        journal = tmp_path / "sweep.jsonl"
+        axes = {"x": list(range(8))}
+        kw = dict(seeds=(0,), tag="doomed", parallel=3, journal=journal)
+        with pytest.raises(HarnessError) as exc:
+            run_sweep(_doomed, axes, **kw)
+        assert "sweep point 2 (params {'x': 2}" in str(exc.value)
+        assert "exit code -9" in str(exc.value)
+        journaled = {p["index"] for p in _journal_points(journal)}
+        assert 2 not in journaled
+
+        monkeypatch.delenv(_FAILDIR_ENV)
+        res_p = tmp_path / "resumed.json"
+        clean_p = tmp_path / "clean.json"
+        resumed = run_sweep(
+            _doomed, axes, resume=True, metrics_path=res_p, **kw
         )
-        import math
-
-        assert math.isnan(result.cells[0].values[0])
-        assert math.isnan(result.cells[0].mean)
-        payload = json.loads(path.read_text())
-        assert validate_metrics_payload(payload) == []
-        cell = payload["sweep"]["cells"][0]
-        assert cell["values"] == [None]
-        assert cell["mean"] is None
-        point = payload["provenance"]["points"][0]
-        assert point["status"] == "poisoned"
-        assert "exploded" in point["error"]
+        assert resumed.pool["summary"]["executed"] == 8 - len(journaled)
+        run_sweep(_doomed, axes, seeds=(0,), tag="doomed",
+                  metrics_path=clean_p)
+        res = json.loads(res_p.read_text())
+        assert validate_metrics_payload(res) == []
+        assert canonical_metrics_bytes(res) == canonical_metrics_bytes(
+            json.loads(clean_p.read_text())
+        )
 
 
 # ----------------------------------------------------------------------
@@ -792,7 +707,7 @@ class TestInterruptSemantics:
         assert rc == 3  # graceful drain, not the default 130
         points = _journal_points(journal)  # also: every line valid JSON
         assert 2 <= len(points) < 8
-        assert all(p["status"] == "ok" for p in points)
+        assert all(isinstance(p["value"], float) for p in points)
 
         res_p = tmp_path / "resumed.json"
         rc = cli.main(
