@@ -8,7 +8,7 @@ The package provides:
 * :mod:`repro.machine` — cluster topology and nanosecond cost model;
 * :mod:`repro.network` — alpha–beta wire model with per-node NICs;
 * :mod:`repro.runtime` — Charm++-like SMP runtime (worker PEs, comm
-  threads, transport, chares);
+  threads, transport, reliable delivery, quiescence counting);
 * :mod:`repro.tram` — **TramLib**, the paper's contribution: the WW,
   WPs, WsP and PP aggregation schemes plus flush policies and stats;
 * :mod:`repro.obs` — stage-attributed latency spans, the metrics
@@ -42,35 +42,20 @@ from repro.errors import (
     HarnessError,
     QuiescenceError,
     ReproError,
-    RetryExhaustedError,
     SchedulingError,
     SimulationError,
 )
 from repro.faults import FaultPlan, FaultSession, FaultWindow
 from repro.flow import FlowConfig, FlowSession
-from repro.machine import (
-    CostModel,
-    MachineConfig,
-    delta_costs,
-    delta_machine,
-    nonsmp_machine,
-    small_test_machine,
-)
+from repro.machine import CostModel, MachineConfig, delta_machine, nonsmp_machine
 from repro.obs import ObsConfig, ObsSession
 from repro.options import RunOptions
-from repro.runtime import (
-    Chare,
-    ExecContext,
-    QDCounter,
-    ReliabilityConfig,
-    RuntimeSystem,
-)
-from repro.sim import MS, NS, SEC, US, Engine, RngStreams, Tracer, fmt_time
+from repro.runtime import ExecContext, QDCounter, ReliabilityConfig, RuntimeSystem
+from repro.sim import MS, NS, SEC, US, Engine, RngStreams, fmt_time
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "Chare",
     "ConfigError",
     "CostModel",
     "DeliveryError",
@@ -93,19 +78,15 @@ __all__ = [
     "QuiescenceError",
     "ReliabilityConfig",
     "ReproError",
-    "RetryExhaustedError",
     "RngStreams",
     "RunOptions",
     "RuntimeSystem",
     "SEC",
     "SchedulingError",
     "SimulationError",
-    "Tracer",
     "US",
     "__version__",
-    "delta_costs",
     "delta_machine",
     "fmt_time",
     "nonsmp_machine",
-    "small_test_machine",
 ]

@@ -40,9 +40,6 @@ class Graph:
         lo, hi = self.indptr[v], self.indptr[v + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
 
 def _edges_to_csr(n: int, src: np.ndarray, dst: np.ndarray, rng) -> Graph:
     # Drop self loops and duplicate (src, dst) pairs, then sort by src.
@@ -115,9 +112,3 @@ def generate_graph(
     if kind == "rmat":
         return generate_rmat(n, avg_degree, seed)
     raise ConfigError(f"unknown graph kind {kind!r}")
-
-
-def owner_of(vertex: int, total_workers: int) -> int:
-    """Cyclic partition: the worker owning ``vertex``."""
-    return vertex % total_workers
-

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.apps.pdes.engine import LpState, OptimisticEngine
+from repro.errors import QuiescenceError
 from repro.machine.costs import CostModel
 from repro.machine.topology import MachineConfig
 from repro.runtime.system import RuntimeSystem
@@ -147,10 +148,16 @@ def run_phold(
     for wid in range(W):
         rt.post(wid, seed_task)
     stats = rt.run()
+    s = tram.stats
+    if s.items_delivered < s.items_inserted:
+        raise QuiescenceError(
+            f"phold: quiescence reached with {s.pending_items} undelivered "
+            f"event message(s) ({s.items_delivered} delivered / "
+            f"{s.items_inserted} inserted)"
+        )
 
     executed = sum(e.total_executed for e in engines)
     rejected = sum(e.total_rejected for e in engines)
-    s = tram.stats
     return PholdResult(
         scheme=tram.name,
         machine=machine,

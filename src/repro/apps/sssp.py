@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.apps.graphs import Graph, generate_graph
+from repro.errors import QuiescenceError
 from repro.machine.costs import CostModel
 from repro.machine.topology import MachineConfig
 from repro.runtime.system import RuntimeSystem
@@ -160,11 +161,17 @@ def run_sssp(
 
     rt.post(source % W, seed_task)
     stats = rt.run()
+    s = tram.stats
+    if s.items_delivered < s.items_inserted:
+        raise QuiescenceError(
+            f"sssp: quiescence reached with {s.pending_items} undelivered "
+            f"update(s) ({s.items_delivered} delivered / {s.items_inserted} "
+            f"inserted)"
+        )
 
     distances = np.full(n, np.inf)
     for w, chare in enumerate(chares):
         distances[w::W] = chare.dist[: len(distances[w::W])]
-    s = tram.stats
     return SsspResult(
         scheme=tram.name,
         machine=machine,

@@ -49,15 +49,5 @@ class FlowControlError(ConfigError):
     """
 
 
-class RetryExhaustedError(DeliveryError):
-    """Reliable delivery gave up on a message after its retry budget.
-
-    Raised only when the reliability layer is configured with
-    ``degrade=False``; by default the runtime degrades the affected
-    destination to direct sends instead of raising (see
-    ``docs/robustness.md``).
-    """
-
-
 class HarnessError(ReproError):
     """An experiment or sweep was misconfigured or failed to run."""

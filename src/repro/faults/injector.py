@@ -20,9 +20,9 @@ window confine faults to traffic towards one victim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-from repro.faults.plan import FaultPlan, FaultWindow, WIRE_KINDS
+from repro.faults.plan import FaultPlan
 from repro.network.message import NetMessage
 
 
@@ -33,8 +33,8 @@ class FaultStats:
     ``messages_lost`` / ``items_lost`` count *unprotected* casualties:
     copies the injector destroyed (drop, or corrupt with nobody
     verifying checksums) that no reliability layer will resend. Items
-    are counted via the payload's duck-typed ``count`` so quiescence
-    accounting can be made loss-aware.
+    are counted via the payload's duck-typed ``count``; the conservation
+    ledger (:func:`repro.flow.conservation_ledger`) reads them.
     """
 
     messages_dropped: int = 0
@@ -99,11 +99,6 @@ class FaultInjector:
     plan: FaultPlan
     rng: Any
     stats: FaultStats = field(default_factory=FaultStats)
-    #: Called as ``fn(msg, items)`` when an *unprotected* copy is
-    #: destroyed; apps hook this to keep quiescence loss-aware.
-    #: ``msg`` is ``None`` for crash losses not tied to one message
-    #: (drained worker queues, buffered aggregation items).
-    on_loss: Optional[Callable[[Optional[NetMessage], int], None]] = None
     #: Dedicated RNG stream (``"proc-faults"``) for seeded crash
     #: placement. Kept separate from the wire-dice stream so enabling
     #: crashes never reshuffles which messages get dropped/duplicated.
@@ -167,11 +162,8 @@ class FaultInjector:
         """
         if msg.seq is not None:
             return
-        items = _payload_items(msg)
         self.stats.messages_lost += 1
-        self.stats.items_lost += items
-        if self.on_loss is not None:
-            self.on_loss(msg, items)
+        self.stats.items_lost += _payload_items(msg)
 
     def note_crash_destroyed(self, msg: NetMessage) -> None:
         """A copy hit a dead endpoint *before* being accepted.
@@ -183,11 +175,8 @@ class FaultInjector:
         """
         if msg.seq is not None:
             return
-        items = _payload_items(msg)
         self.stats.messages_lost_to_crash += 1
-        self.stats.items_lost_to_crash += items
-        if self.on_loss is not None:
-            self.on_loss(msg, items)
+        self.stats.items_lost_to_crash += _payload_items(msg)
 
     def note_crash_items(self, items: int, messages: int = 0) -> None:
         """Raw crash-loss accounting for items not tied to a live copy.
@@ -198,12 +187,8 @@ class FaultInjector:
         layer's pending-channel teardown (which has already applied the
         receiver-ground-truth split).
         """
-        if items <= 0 and messages <= 0:
-            return
         self.stats.messages_lost_to_crash += messages
         self.stats.items_lost_to_crash += items
-        if self.on_loss is not None and items > 0:
-            self.on_loss(None, items)
 
     def crash_schedule(self, total_processes: int) -> List[Tuple[float, str, int]]:
         """Resolve the plan into concrete ``(time, kind, pid)`` events.
@@ -271,9 +256,3 @@ class FaultInjector:
         still registers as congested.
         """
         return self.ct_stall_until(pid, now) - now
-
-    def has_wire_faults(self) -> bool:
-        """Whether any wire-level dice can ever come up non-trivial."""
-        if any(getattr(self.plan, k) > 0.0 for k in WIRE_KINDS):
-            return True
-        return any(w.kind in WIRE_KINDS for w in self.plan.windows)

@@ -3,8 +3,8 @@
 Bounded occupancy for the comm-thread and NIC virtual-clock servers,
 credit-based admission between pipeline stages, backpressure into the
 TramLib source buffers, an overload detector with scheme escalation,
-and an explicit per-destination shedding policy whose drops feed
-loss-aware quiescence accounting. Off by default; a runtime without a
+and an explicit per-destination shedding policy whose drops the
+conservation ledger accounts. Off by default; a runtime without a
 config pays one ``is None`` check per message.
 """
 

@@ -45,8 +45,8 @@ class FlowConfig:
         Optional shedding threshold. When the backlog exceeds it *and* a
         destination already has ``max_parked_per_dest`` messages parked,
         further unprotected messages to that destination are destroyed
-        (counted in ``flow.items_shed`` and fed to loss-aware quiescence
-        accounting). ``None`` (the default) never sheds: messages park
+        (counted in ``flow.items_shed``, a term of the conservation
+        ledger). ``None`` (the default) never sheds: messages park
         until credits return. Messages under reliable delivery are never
         shed — recovery is the reliability layer's job.
     max_parked_per_dest:

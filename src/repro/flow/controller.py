@@ -25,15 +25,16 @@ flow subsystem:
   with hysteresis at ``clear_backlog_ns``.
 * **load shedding** — past ``shed_backlog_ns``, unprotected messages
   to a destination whose parked budget is exhausted are destroyed and
-  counted; the drop feeds loss-aware quiescence accounting via the
-  ``on_loss`` hook (installed by ``rt.wire_loss_accounting``).
+  counted (``items_shed``, per destination in ``shed_by_dest``); the
+  :func:`conservation_ledger` accounts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from repro.faults.injector import _payload_items
 from repro.flow.config import FlowConfig
 from repro.flow.credit import CreditGate, ParkedMessage
 
@@ -81,11 +82,6 @@ class FlowStats:
             "overload_escalations": self.overload_escalations,
             "overload_clears": self.overload_clears,
         }
-
-
-def _payload_items(msg: "NetMessage") -> int:
-    """Item count of an aggregated payload (0 for control messages)."""
-    return int(getattr(msg.payload, "count", 0) or 0)
 
 
 def conservation_ledger(rt: "RuntimeSystem") -> dict:
@@ -151,7 +147,6 @@ class FlowController:
         "rt",
         "config",
         "stats",
-        "on_loss",
         "shed_by_dest",
         "_ct_gates",
         "_nic_gates",
@@ -164,9 +159,6 @@ class FlowController:
         self.rt = rt
         self.config = config
         self.stats = FlowStats()
-        #: ``hook(msg, items)`` called for every shed message; installed
-        #: by ``rt.wire_loss_accounting`` for quiescence bookkeeping.
-        self.on_loss: Optional[Callable[[Any, int], None]] = None
         #: Shed message counts keyed by destination process.
         self.shed_by_dest: Dict[int, int] = {}
         #: pid -> (gate, comm thread); empty in non-SMP mode.
@@ -281,14 +273,11 @@ class FlowController:
         self.stats.messages_parked += 1
 
     def _shed(self, msg: "NetMessage") -> None:
-        items = _payload_items(msg)
         self.stats.messages_shed += 1
-        self.stats.items_shed += items
+        self.stats.items_shed += _payload_items(msg)
         self.stats.bytes_shed += msg.size_bytes
         dest = msg.dst_process
         self.shed_by_dest[dest] = self.shed_by_dest.get(dest, 0) + 1
-        if self.on_loss is not None:
-            self.on_loss(msg, items)
 
     def _release(self, gate: CreditGate, nbytes: int) -> None:
         gate.release(nbytes)

@@ -320,6 +320,13 @@ _SWEEP_ONLY = ("journal", "resume", "max_points")
 _RUN_OPTION_FLAGS = ("faults", "flow", "timeline", "metrics_out")
 
 
+#: The one target that honours crash keys in ``--faults``: its figure
+#: reads only per-scheme buffer, latency and time counters. Every other
+#: target checks that each item arrives, or reports data from runs that
+#: lost items; extC places its own crashes on top of the plan.
+_CRASH_TARGET = "extB"
+
+
 def _refused_flag(args) -> Optional[str]:
     """The first flag ``args.target`` would silently drop, if any."""
     if args.target in ("validate", "report"):
@@ -465,6 +472,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     refused = _refused_flag(args)
     if refused is not None:
         print(f"error: {args.target!r} does not take {refused}", file=sys.stderr)
+        return 2
+    faults = options.faults
+    if faults is not None and faults.has_crashes() and args.target != _CRASH_TARGET:
+        print(
+            f"error: {args.target!r} cannot run under crash keys in --faults; "
+            f"only {_CRASH_TARGET} takes them",
+            file=sys.stderr,
+        )
         return 2
     pool = _pool_config(args)
     if args.target == "list":

@@ -14,6 +14,7 @@ sweeps to bench-friendly sizes; ``paper`` is the default.
 
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
@@ -624,6 +625,9 @@ def extC(profile: str = "paper") -> FigureData:
     close its conservation ledger exactly (``produced == delivered +
     lost_to_crash + buffered``): an unbalanced ledger is a bug in the
     crash fabric, not a data point, and raises immediately.
+
+    The crash keys are added to the ambient fault plan, so a ``--faults``
+    plan's wire faults apply to every run too.
     """
     _check_profile(profile)
     from repro.faults import FaultPlan
@@ -636,11 +640,13 @@ def extC(profile: str = "paper") -> FigureData:
     ks = (0, 1, 2)
     schemes = ("WW", "WPs", "PP", "R2D", "WNs", "NN")
     fractions: Dict[str, list] = {name: [] for name in schemes}
+    base = active_options().faults or FaultPlan()
     for k in ks:
         # The insert storm drains within ~100-150k simulated ns on this
         # machine, so the window must sit inside the active phase: a
         # later crash would land after quiescence and lose nothing.
-        plan = FaultPlan(
+        plan = dataclasses.replace(
+            base,
             crash_procs=k,
             crash_t_min_ns=5_000.0,
             crash_t_max_ns=40_000.0,

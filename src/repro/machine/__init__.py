@@ -8,19 +8,12 @@ constants (see DESIGN.md §4).
 """
 
 from repro.machine.costs import CostModel
-from repro.machine.presets import (
-    delta_costs,
-    delta_machine,
-    nonsmp_machine,
-    small_test_machine,
-)
+from repro.machine.presets import delta_machine, nonsmp_machine
 from repro.machine.topology import MachineConfig
 
 __all__ = [
     "CostModel",
     "MachineConfig",
-    "delta_costs",
     "delta_machine",
     "nonsmp_machine",
-    "small_test_machine",
 ]

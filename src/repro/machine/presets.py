@@ -1,4 +1,4 @@
-"""Machine and cost-model presets used throughout the reproduction.
+"""Machine presets used throughout the reproduction.
 
 The paper's experiments run on NCSA Delta with 8 processes per node and
 8 worker cores per process (one more core per process is the comm
@@ -8,7 +8,6 @@ layout; problem sizes are scaled separately by the harness.
 
 from __future__ import annotations
 
-from repro.machine.costs import CostModel
 from repro.machine.topology import MachineConfig
 
 
@@ -38,27 +37,3 @@ def nonsmp_machine(nodes: int, ranks_per_node: int = 64) -> MachineConfig:
         workers_per_process=1,
         smp=False,
     )
-
-
-def small_test_machine(
-    nodes: int = 2,
-    processes_per_node: int = 2,
-    workers_per_process: int = 2,
-    smp: bool = True,
-) -> MachineConfig:
-    """Tiny configuration for unit tests (8 workers by default)."""
-    return MachineConfig(
-        nodes=nodes,
-        processes_per_node=processes_per_node,
-        workers_per_process=workers_per_process,
-        smp=smp,
-    )
-
-
-def delta_costs(**overrides: float) -> CostModel:
-    """The calibrated Delta-shaped cost model (DESIGN.md §4).
-
-    Keyword overrides are forwarded to :meth:`CostModel.replace`-style
-    construction, e.g. ``delta_costs(comm_msg_ns=300.0)``.
-    """
-    return CostModel(**overrides) if overrides else CostModel()

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.machine.costs import CostModel
-from repro.machine.topology import MachineConfig
 
 
 @dataclass(frozen=True)
@@ -22,21 +21,11 @@ class Fabric:
 
     Parameters
     ----------
-    machine:
-        Topology, used to classify node locality.
     costs:
         Cost model supplying ``alpha_inter_ns`` / ``alpha_intra_ns``.
     """
 
-    machine: MachineConfig
     costs: CostModel
-
-    def latency_between_processes(self, src_process: int, dst_process: int) -> float:
-        """One-way latency between two distinct processes (ns)."""
-        same_node = self.machine.node_of_process(src_process) == (
-            self.machine.node_of_process(dst_process)
-        )
-        return self.costs.wire_latency_ns(same_node)
 
     def latency_between_nodes(self, src_node: int, dst_node: int) -> float:
         """One-way latency between two nodes (ns); intra if equal."""

@@ -90,10 +90,6 @@ class NetMessage:
     checksum_ok: bool = True
     piggyback_ack: Optional[tuple] = None
 
-    def addressed_to_worker(self) -> bool:
-        """Whether the message targets a specific PE (vs. a process)."""
-        return self.dst_worker is not None
-
     def wire_copy(self) -> "NetMessage":
         """Physical duplicate of this message (fault fabric / retransmit).
 

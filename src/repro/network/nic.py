@@ -127,8 +127,3 @@ class Nic:
     def tx_backlog_ns(self) -> float:
         """How far the tx server is booked beyond 'now' (queue depth)."""
         return max(0.0, self._tx_free - self.engine.now)
-
-    @property
-    def rx_backlog_ns(self) -> float:
-        """How far the rx server is booked beyond 'now'."""
-        return max(0.0, self._rx_free - self.engine.now)

@@ -14,11 +14,16 @@ The runtime realizes the paper's execution environment:
   messages along the right path: intra-process (shared memory,
   comm-thread-free), intra-node inter-process, or inter-node through the
   NICs.
+* **Reliable delivery**
+  (:class:`~repro.runtime.reliability.ReliableDelivery`) — the
+  ack/retransmit layer over the faulty inter-node wire.
+* **Quiescence counter** (:class:`~repro.runtime.quiescence.QDCounter`)
+  — the apps' produced/consumed delivery check; lost items are
+  accounted by :func:`repro.flow.conservation_ledger` instead.
 * **RuntimeSystem** (:class:`~repro.runtime.system.RuntimeSystem`) — the
   facade gluing machine config, cost model, engine, RNG, and the above.
 """
 
-from repro.runtime.chare import Chare
 from repro.runtime.commthread import CommThread
 from repro.runtime.context import ExecContext
 from repro.runtime.node import Node
@@ -34,7 +39,6 @@ from repro.runtime.transport import Transport, TransportStats
 from repro.runtime.worker import Worker, WorkerStats
 
 __all__ = [
-    "Chare",
     "CommThread",
     "ExecContext",
     "Node",

@@ -51,11 +51,6 @@ class ExecContext:
         """Logical time of the handler (task start time)."""
         return self.start
 
-    @property
-    def rt(self):
-        """The owning :class:`~repro.runtime.system.RuntimeSystem`."""
-        return self.worker.rt
-
     def charge(self, ns: float) -> None:
         """Consume ``ns`` nanoseconds of this PE's CPU."""
         if ns < 0:
@@ -72,17 +67,3 @@ class ExecContext:
         if delay < 0:
             raise SimulationError(f"negative emission delay {delay}")
         self._emissions.append((delay, fn, args))
-
-    def post_local(
-        self, fn: Callable[..., Any], *args: Any, expedited: bool = False
-    ) -> None:
-        """Queue another task on this same PE at completion time."""
-        self.emit(self.worker.post_task, fn, *args, **{})
-        # post_task takes keyword 'expedited'; emit passes positionally,
-        # so wrap when expedited delivery is requested.
-        if expedited:
-            self._emissions.pop()
-            self.emit(self._post_expedited, fn, args)
-
-    def _post_expedited(self, fn: Callable[..., Any], args: tuple) -> None:
-        self.worker.post_task(fn, *args, expedited=True)

@@ -3,8 +3,12 @@
 The engine's natural notion of quiescence is event-queue exhaustion; the
 :class:`QDCounter` adds an *application-level* check: every produced item
 must eventually be consumed. Applications create one counter, tick it on
-item creation/consumption, and assert :attr:`balanced` after the run —
-this is how the test suite catches lost or duplicated deliveries.
+item creation/consumption, and assert :meth:`require_balanced` after the
+run — this is how the apps and the test suite catch lost or duplicated
+deliveries. It counts apart from TramLib's own counters; losses that a
+fault, crash or shed caused are accounted by the conservation ledger
+(:func:`repro.flow.conservation_ledger`), not here, so an app run that
+loses items fails its check.
 """
 
 from __future__ import annotations
@@ -16,22 +20,14 @@ from repro.errors import QuiescenceError
 
 @dataclass
 class QDCounter:
-    """Produced/consumed/lost item accounting.
+    """Produced/consumed item accounting.
 
     Raises :class:`~repro.errors.QuiescenceError` immediately if
-    consumption (plus acknowledged loss) ever exceeds production
-    (duplicate delivery).
-
-    ``lost`` is only ever non-zero on fault-injected runs: the fault
-    fabric and the reliability layer report unrecoverable losses through
-    :meth:`note_lost` (see ``RuntimeSystem.wire_loss_accounting``), so a
-    degraded run still terminates with honest books instead of waiting
-    forever for items that can no longer arrive.
+    consumption ever exceeds production (duplicate delivery).
     """
 
     produced: int = 0
     consumed: int = 0
-    lost: int = 0
 
     def produce(self, n: int = 1) -> None:
         """Record ``n`` items entering the system."""
@@ -44,38 +40,27 @@ class QDCounter:
         if n < 0:
             raise QuiescenceError(f"cannot consume {n} items")
         self.consumed += n
-        if self.consumed + self.lost > self.produced:
+        if self.consumed > self.produced:
             raise QuiescenceError(
-                f"consumed {self.consumed} + lost {self.lost} > produced "
-                f"{self.produced}: duplicate delivery detected"
-            )
-
-    def note_lost(self, n: int = 1) -> None:
-        """Record ``n`` items destroyed by faults, never to be delivered."""
-        if n < 0:
-            raise QuiescenceError(f"cannot lose {n} items")
-        self.lost += n
-        if self.consumed + self.lost > self.produced:
-            raise QuiescenceError(
-                f"consumed {self.consumed} + lost {self.lost} > produced "
-                f"{self.produced}: loss double-counted with a delivery"
+                f"consumed {self.consumed} > produced {self.produced}: "
+                f"duplicate delivery detected"
             )
 
     @property
     def balanced(self) -> bool:
-        """Whether every produced item was consumed or acknowledged lost."""
-        return self.produced == self.consumed + self.lost
+        """Whether every produced item was consumed."""
+        return self.produced == self.consumed
 
     @property
     def outstanding(self) -> int:
-        """Items produced but neither consumed nor acknowledged lost."""
-        return self.produced - self.consumed - self.lost
+        """Items produced but not yet consumed."""
+        return self.produced - self.consumed
 
     def require_balanced(self) -> None:
-        """Raise unless all items were delivered (or acknowledged lost)."""
+        """Raise unless all items were delivered."""
         if not self.balanced:
             raise QuiescenceError(
                 f"quiescence reached with {self.outstanding} undelivered "
-                f"item(s) ({self.consumed} consumed + {self.lost} lost "
-                f"/ {self.produced} produced)"
+                f"item(s) ({self.consumed} consumed / {self.produced} "
+                f"produced)"
             )

@@ -22,12 +22,11 @@ transmission, so stage-attributed latency keeps partitioning exactly
 (see :mod:`repro.obs.spans`).
 
 When a message exhausts its retry budget the channel **degrades**: all
-of its pending messages are abandoned (counted, reported through
-``on_loss`` so quiescence accounting stays honest) and subsequent
-traffic on the channel travels raw, while the aggregation schemes are
-told to fall back to direct sends for that destination (see
-``SchemeBase.on_destination_degraded``). With ``degrade=False`` the
-budget trip raises :class:`~repro.errors.RetryExhaustedError` instead.
+of its pending messages are abandoned (counted in ``items_abandoned``,
+which the conservation ledger reads) and subsequent traffic on the
+channel travels raw, while the aggregation schemes are told to fall back
+to direct sends for that destination (see
+``SchemeBase.on_destination_degraded``).
 
 Control traffic (acks) is itself unprotected — a lost ack is repaired by
 the data timeout, never by acking acks.
@@ -48,9 +47,9 @@ fail over routing around the dead peer (``on_peer_dead``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Tuple
 
-from repro.errors import ConfigError, RetryExhaustedError
+from repro.errors import ConfigError
 from repro.faults.injector import _payload_items
 from repro.network.message import NetMessage, Route
 from repro.obs.spans import MsgSpan
@@ -84,8 +83,7 @@ class ReliabilityConfig:
         Multiplier applied to the timeout per retry (exponential
         backoff).
     max_retries:
-        Retry budget per message; exceeding it degrades the channel (or
-        raises, with ``degrade=False``).
+        Retry budget per message; exceeding it degrades the channel.
     ack_delay_ns:
         Cumulative-ack delay: how long the receiver waits for more
         arrivals (or a reverse-direction data message to piggyback on)
@@ -94,10 +92,6 @@ class ReliabilityConfig:
         Receiver-side reorder tolerance in sequence numbers; copies
         arriving further than this ahead of the cumulative point are
         discarded and recovered by retransmission.
-    degrade:
-        On budget exhaustion, fall back to unprotected direct traffic
-        (the default) instead of raising
-        :class:`~repro.errors.RetryExhaustedError`.
     probe_timeout_ns:
         How long a peer-death suspicion waits for a ``rel.probe`` reply
         before retrying (crash fabric only).
@@ -112,7 +106,6 @@ class ReliabilityConfig:
     max_retries: int = 5
     ack_delay_ns: float = 3_000.0
     dedup_window: int = 1024
-    degrade: bool = True
     probe_timeout_ns: float = 100_000.0
     probe_retries: int = 2
 
@@ -294,7 +287,7 @@ class ReliableDelivery:
     """
 
     __slots__ = (
-        "rt", "config", "stats", "on_loss", "_tx", "_rx",
+        "rt", "config", "stats", "_tx", "_rx",
         "_suspicions", "_confirmed_dead",
     )
 
@@ -302,10 +295,6 @@ class ReliableDelivery:
         self.rt = rt
         self.config = config
         self.stats = ReliabilityStats()
-        #: Called as ``fn(msg, items)`` for each abandoned message when a
-        #: channel degrades; apps hook this (like the fault injector's
-        #: ``on_loss``) to keep quiescence accounting loss-aware.
-        self.on_loss: Optional[Callable[[NetMessage, int], None]] = None
         self._tx: Dict[Tuple[int, int], _TxChannel] = {}
         self._rx: Dict[Tuple[int, int], _RxState] = {}
         #: Open liveness questions, keyed by suspected pid.
@@ -492,7 +481,7 @@ class ReliableDelivery:
         ch = self._tx[(src, dst)]
         entry = ch.pending[seq]
         if entry.attempt >= self.config.max_retries:
-            self._exhaust(src, dst, seq)
+            self._exhaust(src, dst)
             return
         entry.attempt += 1
         self.stats.retransmits += 1
@@ -523,15 +512,7 @@ class ReliableDelivery:
     # ------------------------------------------------------------------
     # Degradation
     # ------------------------------------------------------------------
-    def _exhaust(self, src: int, dst: int, seq: int) -> None:
-        ch = self._tx[(src, dst)]
-        entry = ch.pending[seq]
-        if not self.config.degrade:
-            raise RetryExhaustedError(
-                f"message seq={seq} on channel {src}->{dst} undelivered after "
-                f"{entry.attempt} retransmissions (attempt {entry.attempt + 1} "
-                f"of {self.config.max_retries + 1})"
-            )
+    def _exhaust(self, src: int, dst: int) -> None:
         if self.rt.dead_procs is not None:
             # Crash fabric armed: exhaustion might mean the peer is dead
             # rather than the wire being hopeless. Hold the channel and
@@ -563,11 +544,8 @@ class ReliableDelivery:
                 self.stats.messages_unconfirmed += 1
                 continue
             ch.stale.add(s)
-            items = _payload_items(e.msg)
             self.stats.messages_abandoned += 1
-            self.stats.items_abandoned += items
-            if self.on_loss is not None:
-                self.on_loss(e.msg, items)
+            self.stats.items_abandoned += _payload_items(e.msg)
         for scheme in self.rt.schemes:
             hook = getattr(scheme, "on_destination_degraded", None)
             if hook is not None:

@@ -2,10 +2,10 @@
 
 Typical use::
 
-    from repro.machine import delta_machine, delta_costs
+    from repro.machine import delta_machine
     from repro.runtime import RuntimeSystem
 
-    rt = RuntimeSystem(delta_machine(nodes=2), delta_costs(), seed=1)
+    rt = RuntimeSystem(delta_machine(nodes=2), seed=1)
     rt.register_handler("hello", lambda ctx, msg: print(msg.payload))
     rt.post(0, my_driver_task)
     stats = rt.run()
@@ -102,7 +102,7 @@ class RuntimeSystem:
             self.engine.configure_owners(machine.nodes)
 
         self.rng = RngStreams(seed)
-        self.fabric = Fabric(machine, self.costs)
+        self.fabric = Fabric(self.costs)
         self.transport = Transport(self)
         self._handlers: Dict[str, Callable] = {}
 
@@ -229,28 +229,6 @@ class RuntimeSystem:
             return self._handlers[kind]
         except KeyError:
             raise DeliveryError(f"no handler registered for kind {kind!r}") from None
-
-    # ------------------------------------------------------------------
-    # Fault/reliability plumbing
-    # ------------------------------------------------------------------
-    def wire_loss_accounting(self, qd: Any) -> None:
-        """Route unrecoverable message loss into quiescence accounting.
-
-        ``qd`` is anything with a ``note_lost(n)`` method (a
-        :class:`~repro.runtime.quiescence.QDCounter`). No-op on a
-        fault-free, reliability-free runtime, so applications can call
-        it unconditionally.
-        """
-        def _on_loss(msg: Any, items: int) -> None:
-            if items:
-                qd.note_lost(items)
-
-        if self.faults is not None:
-            self.faults.on_loss = _on_loss
-        if self.reliable is not None:
-            self.reliable.on_loss = _on_loss
-        if self.flow is not None:
-            self.flow.on_loss = _on_loss
 
     # ------------------------------------------------------------------
     # Crash fabric

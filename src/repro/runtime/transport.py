@@ -45,10 +45,6 @@ class TransportStats:
     def total_messages(self) -> int:
         return sum(self.messages.values())
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.bytes.values())
-
 
 class Transport:
     """Routes released messages to their destination PE."""

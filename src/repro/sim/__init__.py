@@ -21,8 +21,6 @@ Public surface
     component draws from its own reproducible stream.
 :mod:`~repro.sim.simtime`
     Time-unit constants (nanosecond base) and formatting helpers.
-:class:`~repro.sim.trace.Tracer`
-    Optional structured event tracing.
 """
 
 from repro.sim.engine import Engine, RunStats
@@ -30,7 +28,6 @@ from repro.sim.event import Event
 from repro.sim.queue import EventQueue
 from repro.sim.rng import RngStreams
 from repro.sim.simtime import MS, NS, SEC, US, fmt_time
-from repro.sim.trace import Tracer
 
 __all__ = [
     "Engine",
@@ -41,7 +38,6 @@ __all__ = [
     "RngStreams",
     "RunStats",
     "SEC",
-    "Tracer",
     "US",
     "fmt_time",
 ]

@@ -9,10 +9,10 @@ it merges into one deterministic stream:
   :meth:`Engine.call_at` / :meth:`Engine.call_after` /
   :meth:`Engine.wire_call_at`;
 * the timer queue, for timeouts armed through :meth:`Engine.timer_at` /
-  :meth:`Engine.timer_after`: retransmit and ack timers, credit
-  releases, quiescence polls, and flush timeouts when a scheme sets
-  one. Keeping them apart means a population of long-deadline timers
-  never deepens the heap the ordinary events stream through.
+  :meth:`Engine.timer_after`: retransmit, ack and probe timers and
+  credit releases. Keeping them apart means a population of
+  long-deadline timers never deepens the heap the ordinary events
+  stream through.
 
 Running to event-queue exhaustion is the simulator's notion of
 *quiescence* — the applications in :mod:`repro.apps` are written so that
@@ -61,7 +61,6 @@ from typing import Any, Callable, Optional
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.event import ST_CONSUMED, ST_PENDING, ST_POOLED, ST_TIMER
 from repro.sim.queue import EventQueue
-from repro.sim.trace import Tracer
 
 _heappush = heappush
 _heappop = heappop
@@ -84,27 +83,11 @@ class RunStats:
     #: ``end_time``, never advanced to an un-fired horizon).
     last_event_time: float = 0.0
 
-    def merge(self, other: "RunStats") -> None:
-        """Fold a subsequent run's stats into this one."""
-        self.events_fired += other.events_fired
-        self.end_time = max(self.end_time, other.end_time)
-        self.stopped_early = self.stopped_early or other.stopped_early
-        self.horizon_reached = self.horizon_reached or other.horizon_reached
-        self.last_event_time = max(self.last_event_time, other.last_event_time)
-
 
 class Engine:
-    """Deterministic discrete-event engine.
-
-    Parameters
-    ----------
-    tracer:
-        Optional :class:`~repro.sim.trace.Tracer`; when provided, every
-        fired event is recorded (category ``"event"``).
-    """
+    """Deterministic discrete-event engine."""
 
     __slots__ = (
-        "tracer",
         "now",
         "sampler",
         "current_owner",
@@ -121,8 +104,7 @@ class Engine:
         "_stop_requested",
     )
 
-    def __init__(self, tracer: Optional[Tracer] = None, now: float = 0.0) -> None:
-        self.tracer = tracer
+    def __init__(self, now: float = 0.0) -> None:
         #: Optional boundary sampler (a
         #: :class:`~repro.obs.timeline.TimelineRecorder`): before firing
         #: the first event at-or-past ``sampler.next_due``, the run loop
@@ -409,7 +391,7 @@ class Engine:
         stats = RunStats()
         stats.last_event_time = self.now
         try:
-            if max_events is None and self.tracer is None:
+            if max_events is None:
                 self._run_fast(stats, until)
             else:
                 self._run_general(stats, until, max_events)
@@ -491,16 +473,15 @@ class Engine:
     def _run_general(
         self, stats: RunStats, until: Optional[float], max_events: Optional[int]
     ) -> None:
-        """The instrumented loop: :meth:`_run_fast` plus ``max_events``
-        and the tracer. Peeks before popping so an event beyond the
-        horizon is never removed — that is what keeps cancel handles
-        valid across successive horizons."""
+        """The guarded loop: :meth:`_run_fast` plus ``max_events``.
+        Peeks before popping so an event beyond the horizon is never
+        removed — that is what keeps cancel handles valid across
+        successive horizons."""
         queue = self._queue
         heap = self._heap
         timers = self._timers
         theap = self._theap
         pool = self._pool
-        tracer = self.tracer
         sampler = self.sampler
         mod = self._owner_mod
         nown = self._n_owners
@@ -540,10 +521,6 @@ class Engine:
             if max_events is not None and fired > max_events:
                 raise SimulationError(
                     f"exceeded max_events={max_events}; probable runaway loop"
-                )
-            if tracer is not None and tracer.wants("event"):
-                tracer.record(
-                    "event", t=t, fn=getattr(ev[3], "__qualname__", "?")
                 )
             ev[2] = ST_CONSUMED
             ev[3](*ev[4])

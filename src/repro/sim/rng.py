@@ -62,13 +62,3 @@ class RngStreams:
             gen = np.random.default_rng(seq)
             self._cache[name] = gen
         return gen
-
-    def fresh(self, name: str) -> np.random.Generator:
-        """Return a *new* generator for ``name``, resetting its state."""
-        self._cache.pop(name, None)
-        return self.stream(name)
-
-    def spawn(self, name: str, n: int) -> list:
-        """Return ``n`` independent child generators under ``name``."""
-        seq = np.random.SeedSequence([self.root_seed, self._key_of(name)])
-        return [np.random.default_rng(child) for child in seq.spawn(n)]

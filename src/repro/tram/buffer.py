@@ -48,18 +48,9 @@ class ItemBuffer:
     left (``del items[:k]`` is O(n) per call); the backing list is
     compacted only once the dead prefix reaches half its length, so a
     sequence of partial drains costs amortized O(1) per drained item.
-    The minimum priority is tracked incrementally on ``add``/``drain``
-    rather than rebuilt from a throwaway list per query.
     """
 
-    __slots__ = (
-        "capacity",
-        "dest",
-        "_items",
-        "_head",
-        "_min_priority",
-        "_prio_count",
-    )
+    __slots__ = ("capacity", "dest", "_items", "_head")
 
     def __init__(self, capacity: int, dest=None) -> None:
         self.capacity = capacity
@@ -67,8 +58,6 @@ class ItemBuffer:
         self.dest = dest
         self._items: List[Item] = []
         self._head = 0
-        self._min_priority: Optional[float] = None
-        self._prio_count = 0
 
     @property
     def items(self) -> List[Item]:
@@ -78,11 +67,6 @@ class ItemBuffer:
     def add(self, item: Item) -> bool:
         """Append an item; return True when the buffer reached capacity."""
         self._items.append(item)
-        p = item.priority
-        if p is not None:
-            self._prio_count += 1
-            if self._min_priority is None or p < self._min_priority:
-                self._min_priority = p
         return len(self._items) - self._head >= self.capacity
 
     def drain(self, k: Optional[int] = None) -> List[Item]:
@@ -93,8 +77,6 @@ class ItemBuffer:
             out = items[head:] if head else items
             self._items = []
             self._head = 0
-            self._min_priority = None
-            self._prio_count = 0
             return out
         end = head + k
         out = items[head:end]
@@ -102,31 +84,7 @@ class ItemBuffer:
         if end * 2 >= len(items):
             del items[:end]
             self._head = 0
-        if self._prio_count:
-            self._note_drained(out)
         return out
-
-    def _note_drained(self, out: List[Item]) -> None:
-        removed = 0
-        min_left = False
-        mn = self._min_priority
-        for it in out:
-            p = it.priority
-            if p is not None:
-                removed += 1
-                if p == mn:
-                    min_left = True
-        if not removed:
-            return
-        self._prio_count -= removed
-        if self._prio_count == 0:
-            self._min_priority = None
-        elif min_left:
-            self._min_priority = min(
-                it.priority
-                for it in self._items[self._head:]
-                if it.priority is not None
-            )
 
     @property
     def count(self) -> int:
@@ -135,10 +93,6 @@ class ItemBuffer:
     @property
     def empty(self) -> bool:
         return len(self._items) == self._head
-
-    def min_priority(self) -> Optional[float]:
-        """Smallest item priority present (None when unprioritized). O(1)."""
-        return self._min_priority
 
 
 class CountBuffer:
@@ -192,10 +146,6 @@ class CountBuffer:
     @property
     def empty(self) -> bool:
         return self.count == 0
-
-    @property
-    def full(self) -> bool:
-        return self.count >= self.capacity
 
     def add_counts(
         self,
@@ -257,7 +207,3 @@ class CountBuffer:
             self.t_sum = 0.0
             self.t_min = float("inf")
         return batch
-
-    def take_all(self) -> BulkBatch:
-        """Drain the whole buffer (flush path)."""
-        return self.take(self.count)

@@ -8,7 +8,7 @@ seed, capturing workload randomness rather than machine noise.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 def mean_std(values: Sequence[float]) -> Tuple[float, float]:
@@ -21,10 +21,3 @@ def mean_std(values: Sequence[float]) -> Tuple[float, float]:
         return mean, 0.0
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var)
-
-
-def summarize_trials(
-    run: Callable[[int], float], seeds: Sequence[int]
-) -> Tuple[float, float]:
-    """Run ``run(seed)`` for each seed; return (mean, std) of results."""
-    return mean_std([run(seed) for seed in seeds])

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.graphs import (
-    Graph,
-    generate_graph,
-    generate_rmat,
-    generate_uniform,
-    owner_of,
-)
+from repro.apps.graphs import generate_graph, generate_rmat, generate_uniform
 from repro.errors import ConfigError
 
 
@@ -82,12 +76,3 @@ class TestDispatchAndHelpers:
             generate_uniform(1, 4)
         with pytest.raises(ConfigError):
             generate_uniform(10, 0)
-
-    def test_owner_cyclic(self):
-        assert owner_of(0, 8) == 0
-        assert owner_of(9, 8) == 1
-
-    def test_degree_accessor(self):
-        g = generate_uniform(32, 4, seed=7)
-        total = sum(g.degree(v) for v in range(32))
-        assert total == g.num_edges

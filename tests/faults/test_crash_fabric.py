@@ -240,3 +240,65 @@ class TestFailoverRouting:
         # (and loss-accounted) before buffering anything.
         assert tram.stats.dead_peer_drops > 0
         assert_ledger_closed(rt)
+
+
+#: The CLI crash plan from docs/reproducing.md.
+CRASH_SPEC = "crash_procs=1,crash_t_min=5000,crash_t_max=40000"
+
+
+class TestCrashTargets:
+    """Only extB honours crash keys; the rest refuse them or fail loudly."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fig14"],
+        ["all"],
+        ["extC"],
+        ["sweep", "--app", "histogram", "--axes", "nodes=1,2"],
+    ], ids=lambda argv: argv[0])
+    def test_target_refuses_crash_keys(self, argv, tmp_path, monkeypatch, capsys):
+        from repro.harness.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--profile", "quick", "--faults", CRASH_SPEC]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "extB" in err
+        assert list(tmp_path.iterdir()) == []  # refused before running
+
+    def test_extB_takes_crash_keys(self, tmp_path):
+        import json
+
+        from repro.harness.cli import main
+
+        path = tmp_path / "b.json"
+        argv = ["extB", "--profile", "quick", "--faults", CRASH_SPEC,
+                "--metrics-out", str(path)]
+        assert main(argv) == 0
+        runs = json.loads(path.read_text())["runs"]
+        assert runs and all(r["faults"]["proc_crashes"] == 1 for r in runs)
+
+    def test_extC_keeps_the_wire_faults_of_the_plan(self, tmp_path):
+        import json
+
+        from repro.harness.cli import main
+
+        path = tmp_path / "c.json"
+        argv = ["extC", "--profile", "quick", "--faults", "drop=0.05",
+                "--metrics-out", str(path)]
+        assert main(argv) == 0
+        runs = json.loads(path.read_text())["runs"]
+        assert len(runs) == 18
+        assert all(r["faults"]["messages_dropped"] > 0 for r in runs)
+
+    @pytest.mark.parametrize("app, kwargs", [
+        ("run_sssp", {"num_vertices": 512}),
+        ("run_phold", {"quota_per_worker": 64}),
+    ])
+    def test_lossy_run_raises_quiescence_error(self, app, kwargs):
+        import repro.apps
+        from repro.errors import QuiescenceError
+        from repro.faults import FaultSession
+
+        with FaultSession(FaultPlan.parse(CRASH_SPEC)):
+            with pytest.raises(QuiescenceError, match="undelivered"):
+                getattr(repro.apps, app)(MACHINE, "WPs", **kwargs)

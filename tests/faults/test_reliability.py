@@ -8,8 +8,8 @@ and exactly-once delivery is asserted through the scheme's own counters
 
 import pytest
 
-from repro.errors import ConfigError, RetryExhaustedError
-from repro.faults import FOREVER, FaultPlan, FaultSession, FaultWindow
+from repro.errors import ConfigError
+from repro.faults import FaultPlan, FaultSession
 from repro.machine import MachineConfig
 from repro.runtime.reliability import ReliabilityConfig
 from repro.runtime.system import RuntimeSystem
@@ -127,22 +127,6 @@ class TestUnprotectedLoss:
         lost = rt.faults.stats.items_lost
         assert lost > 0
         assert st.items_delivered + lost == st.items_inserted
-
-
-class TestRetryExhaustion:
-    def test_strict_mode_raises_on_budget_trip(self):
-        # Every message towards node 1 vanishes forever: the channel can
-        # never recover, and strict mode surfaces that as an error.
-        plan = FaultPlan(
-            windows=(
-                FaultWindow(0.0, FOREVER, "drop", target=1, magnitude=1.0),
-            )
-        )
-        strict = ReliabilityConfig(
-            retransmit_timeout_ns=5_000.0, max_retries=2, degrade=False
-        )
-        with pytest.raises(RetryExhaustedError):
-            run_workload(faults=plan, reliability=strict)
 
 
 class TestDisabledAndDeterminism:

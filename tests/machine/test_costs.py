@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.machine.costs import CostModel
-from repro.machine.presets import delta_costs, delta_machine, nonsmp_machine, small_test_machine
+from repro.machine.presets import delta_machine, nonsmp_machine
 
 
 @pytest.fixture
@@ -91,12 +91,3 @@ class TestPresets:
         assert not m.smp
         assert m.workers_per_node == 64
         assert m.workers_per_process == 1
-
-    def test_small_test_machine(self):
-        m = small_test_machine()
-        assert m.total_workers == 8
-
-    def test_delta_costs_overrides(self):
-        c = delta_costs(comm_msg_ns=123.0)
-        assert c.comm_msg_ns == 123.0
-        assert delta_costs().comm_msg_ns != 123.0

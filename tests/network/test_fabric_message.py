@@ -8,22 +8,26 @@ from repro.network.fabric import Fabric
 from repro.network.message import NetMessage, Route
 
 
+MACHINE = MachineConfig(nodes=2, processes_per_node=2, workers_per_process=2)
+
+
 @pytest.fixture
 def fabric():
-    machine = MachineConfig(nodes=2, processes_per_node=2, workers_per_process=2)
-    return Fabric(machine, CostModel())
+    return Fabric(CostModel())
 
 
 class TestFabric:
     def test_same_node_uses_intra_alpha(self, fabric):
+        node = MACHINE.node_of_process
         assert (
-            fabric.latency_between_processes(0, 1)
+            fabric.latency_between_nodes(node(0), node(1))
             == fabric.costs.alpha_intra_ns
         )
 
     def test_cross_node_uses_inter_alpha(self, fabric):
+        node = MACHINE.node_of_process
         assert (
-            fabric.latency_between_processes(0, 2)
+            fabric.latency_between_nodes(node(0), node(2))
             == fabric.costs.alpha_inter_ns
         )
 
@@ -35,11 +39,11 @@ class TestFabric:
 class TestNetMessage:
     def test_worker_addressing(self):
         m = NetMessage(kind="k", src_worker=0, dst_process=1, size_bytes=10)
-        assert not m.addressed_to_worker()
+        assert m.dst_worker is None
         m2 = NetMessage(
             kind="k", src_worker=0, dst_process=1, size_bytes=10, dst_worker=3
         )
-        assert m2.addressed_to_worker()
+        assert m2.dst_worker == 3
 
     def test_route_enum_members(self):
         assert {r.value for r in Route} == {

@@ -139,26 +139,6 @@ class TestBurstInjection:
         gaps = [b - a for a, b in zip(delivered, delivered[1:])]
         assert gaps == pytest.approx([occ] * (self.N - 1))
 
-    def test_rx_backlog_during_burst(self):
-        engine = Engine()
-        costs = CostModel()
-        dst = Nic(engine=engine, costs=costs, node_id=99)
-        dst.sink = lambda m: None
-        for i in range(3):
-            src = Nic(engine=engine, costs=costs, node_id=i)
-            engine.after(0.0, src.inject, msg(size=100_000), dst, 0.0)
-
-        probed = []
-
-        def probe():
-            probed.append(dst.rx_backlog_ns)
-
-        # Probe right after the burst lands at rx (tx occupancy later).
-        engine.after(costs.tx_occupancy_ns(100_000) + 1.0, probe)
-        engine.run()
-        assert probed[0] > 0.0
-        assert dst.rx_backlog_ns == 0.0  # drained at the end
-
     def test_queue_wait_zero_when_spaced_out(self):
         engine, costs, src, dst, _ = make_pair()
         occ = costs.tx_occupancy_ns(1000)

@@ -1,7 +1,5 @@
 """Unit tests for ExecContext mechanics."""
 
-import pytest
-
 from repro.errors import SimulationError
 
 
@@ -28,12 +26,6 @@ class TestCharges:
         tiny_rt.post(0, task, delay=500.0)
         tiny_rt.run()
         assert observed == [500.0]
-
-    def test_rt_accessor(self, tiny_rt):
-        seen = []
-        tiny_rt.post(0, lambda ctx: seen.append(ctx.rt is tiny_rt))
-        tiny_rt.run()
-        assert seen == [True]
 
 
 class TestEmissions:
@@ -66,36 +58,3 @@ class TestEmissions:
         tiny_rt.post(0, task)
         tiny_rt.run()
         assert errors
-
-    def test_post_local_queues_on_same_pe(self, tiny_rt):
-        seen = []
-
-        def follow_up(ctx):
-            seen.append((ctx.worker.wid, ctx.now))
-
-        def task(ctx):
-            ctx.charge(200.0)
-            ctx.post_local(follow_up)
-
-        tiny_rt.post(3, task)
-        tiny_rt.run()
-        assert seen == [(3, 200.0)]
-
-    def test_post_local_expedited(self, tiny_rt):
-        order = []
-
-        def urgent(ctx):
-            order.append("urgent")
-
-        def normal(ctx):
-            order.append("normal")
-
-        def task(ctx):
-            ctx.charge(50.0)
-            # Queue normal first, then an expedited one; expedited wins.
-            ctx.post_local(normal)
-            ctx.post_local(urgent, expedited=True)
-
-        tiny_rt.post(0, task)
-        tiny_rt.run()
-        assert order == ["urgent", "normal"]

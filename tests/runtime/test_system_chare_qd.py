@@ -1,9 +1,8 @@
-"""Unit tests for RuntimeSystem wiring, Chare and QDCounter."""
+"""Unit tests for RuntimeSystem wiring and QDCounter."""
 
 import pytest
 
 from repro.errors import ConfigError, QuiescenceError
-from repro.runtime.chare import Chare
 from repro.runtime.quiescence import QDCounter
 
 
@@ -52,42 +51,6 @@ class TestRuntimeSystem:
         assert list(node.workers) == [4, 5, 6, 7]
 
 
-class TestChare:
-    def test_entry_method_runs_on_home_pe(self, tiny_rt):
-        class Counter(Chare):
-            def __init__(self, rt, wid):
-                super().__init__(rt, wid)
-                self.calls = []
-
-            def bump(self, ctx, amount):
-                ctx.charge(10.0)
-                self.calls.append((ctx.worker.wid, amount))
-
-        c = Counter(tiny_rt, 3)
-        c.invoke("bump", 7)
-        c.invoke(c.bump, 8)
-        tiny_rt.run()
-        assert c.calls == [(3, 7), (3, 8)]
-
-    def test_invoke_local_defers_to_completion(self, tiny_rt):
-        class Chain(Chare):
-            def __init__(self, rt, wid):
-                super().__init__(rt, wid)
-                self.times = []
-
-            def first(self, ctx):
-                ctx.charge(100.0)
-                self.invoke_local(ctx, "second")
-
-            def second(self, ctx):
-                self.times.append(ctx.now)
-
-        c = Chain(tiny_rt, 0)
-        c.invoke("first")
-        tiny_rt.run()
-        assert c.times == [100.0]
-
-
 class TestQDCounter:
     def test_balanced_lifecycle(self):
         qd = QDCounter()
@@ -118,21 +81,15 @@ class TestQDCounter:
         with pytest.raises(QuiescenceError):
             qd.consume(-1)
 
-    def test_lost_items_balance_the_counter(self):
-        qd = QDCounter()
-        qd.produce(10)
-        qd.consume(7)
-        assert not qd.balanced
-        assert qd.outstanding == 3
-        qd.note_lost(3)
-        assert qd.balanced
-        assert qd.outstanding == 0
-        assert qd.lost == 3
-
     def test_require_balanced_reports_loss(self):
         qd = QDCounter()
         qd.produce(5)
-        qd.consume(5)
+        qd.consume(3)
+        with pytest.raises(
+            QuiescenceError, match=r"2 undelivered item\(s\) \(3 consumed / 5"
+        ):
+            qd.require_balanced()
+        qd.consume(2)
         qd.require_balanced()  # no raise
 
 

@@ -128,7 +128,7 @@ class TestStatsAndErrors:
         rt = make_rt()
         send_and_time(rt, 0, 4, size=333)
         assert rt.transport.stats.bytes[Route.INTER_NODE] == 333
-        assert rt.transport.stats.total_bytes == 333
+        assert sum(rt.transport.stats.bytes.values()) == 333
         assert rt.transport.stats.total_messages == 1
 
     def test_bad_destination_process(self, make_rt):

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.engine import Engine
 from repro.sim.event import EV_TIME
-from repro.sim.trace import Tracer
 
 
 class TestScheduling:
@@ -151,26 +150,17 @@ class TestRunControl:
 class TestDeterminism:
     def test_identical_runs_identical_traces(self):
         def build():
-            tracer = Tracer(["event"])
-            eng = Engine(tracer=tracer)
+            eng = Engine()
+            fired = []
             for i in range(20):
-                eng.at(float(i % 7), lambda: None)
+                eng.at(float(i % 7), lambda i=i: fired.append((eng.now, i)))
             eng.run()
-            return [f for _, f in tracer.records("event")]
+            return fired
 
-        assert build() == build()
-
-
-class TestRunStats:
-    def test_merge(self):
-        from repro.sim.engine import RunStats
-
-        a = RunStats(events_fired=3, end_time=10.0)
-        b = RunStats(events_fired=2, end_time=5.0, stopped_early=True)
-        a.merge(b)
-        assert a.events_fired == 5
-        assert a.end_time == 10.0
-        assert a.stopped_early
+        trace = build()
+        assert trace == build()
+        # Time order, and same-time events in arm order.
+        assert trace == sorted((float(i % 7), i) for i in range(20))
 
 
 class TestTimerQueueMerge:

@@ -36,25 +36,6 @@ class TestCaching:
         streams = RngStreams(0)
         assert streams.stream("x") is streams.stream("x")
 
-    def test_fresh_resets_state(self):
-        streams = RngStreams(0)
-        first = streams.stream("x").random()
-        streams.stream("x").random()
-        assert streams.fresh("x").random() == first
-
-
-class TestSpawn:
-    def test_spawn_children_independent(self):
-        children = RngStreams(0).spawn("pool", 4)
-        assert len(children) == 4
-        draws = [c.random() for c in children]
-        assert len(set(draws)) == 4
-
-    def test_spawn_reproducible(self):
-        a = [g.random() for g in RngStreams(5).spawn("p", 3)]
-        b = [g.random() for g in RngStreams(5).spawn("p", 3)]
-        assert a == b
-
 
 class TestValidation:
     def test_negative_seed_rejected(self):

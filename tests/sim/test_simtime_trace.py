@@ -1,9 +1,8 @@
-"""Unit tests for time units/formatting and the tracer."""
+"""Unit tests for time units and formatting."""
 
 import pytest
 
 from repro.sim.simtime import MS, NS, SEC, US, fmt_time, to_ms, to_seconds, to_us
-from repro.sim.trace import Tracer
 
 
 class TestUnits:
@@ -33,49 +32,3 @@ class TestFmtTime:
     )
     def test_formatting(self, ns, expected):
         assert fmt_time(ns) == expected
-
-
-class TestTracer:
-    def test_records_enabled_categories_only(self):
-        t = Tracer(categories=["send"])
-        t.record("send", x=1)
-        t.record("recv", x=2)
-        assert t.count("send") == 1
-        assert t.count("recv") == 0
-
-    def test_none_captures_everything(self):
-        t = Tracer()
-        t.record("a")
-        t.record("b")
-        assert len(t) == 2
-
-    def test_capacity_evicts_oldest(self):
-        t = Tracer(capacity=3)
-        for i in range(5):
-            t.record("x", i=i)
-        assert len(t) == 3
-        assert t.dropped == 2
-        values = [f["i"] for _, f in t.records("x")]
-        assert values == [2, 3, 4]
-
-    def test_clear(self):
-        t = Tracer()
-        t.record("x")
-        t.clear()
-        assert len(t) == 0
-        assert t.dropped == 0
-
-    def test_records_filter(self):
-        t = Tracer()
-        t.record("a", v=1)
-        t.record("b", v=2)
-        assert t.records("a") == [("a", {"v": 1})]
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(capacity=0)
-
-    def test_wants(self):
-        t = Tracer(categories=["x"])
-        assert t.wants("x")
-        assert not t.wants("y")

@@ -8,8 +8,8 @@ from repro.tram.buffer import CountBuffer, ItemBuffer, proportional_take
 from repro.tram.item import Item
 
 
-def item(dst=0, src=1, t=0.0, priority=None):
-    return Item(dst, src, t, None, priority)
+def item(dst=0, src=1, t=0.0):
+    return Item(dst, src, t, None, None)
 
 
 class TestProportionalTake:
@@ -72,25 +72,12 @@ class TestItemBuffer:
         assert [it.dst for it in out] == [0, 1]
         assert [it.dst for it in buf.items] == [2, 3, 4]
 
-    def test_min_priority(self):
-        buf = ItemBuffer(10)
-        buf.add(item(priority=5.0))
-        buf.add(item(priority=2.0))
-        buf.add(item())  # unprioritized
-        assert buf.min_priority() == 2.0
-
-    def test_min_priority_none_when_unprioritized(self):
-        buf = ItemBuffer(10)
-        buf.add(item())
-        assert buf.min_priority() is None
-
 
 class TestCountBuffer:
     def test_plain_counting(self):
         buf = CountBuffer(8)
         buf.add_counts(3, now=10.0)
         buf.add_counts(5, now=20.0)
-        assert buf.full
         assert buf.count == 8
         assert buf.t_sum == pytest.approx(3 * 10.0 + 5 * 20.0)
         assert buf.t_min == 10.0
@@ -107,7 +94,7 @@ class TestCountBuffer:
     def test_take_all_resets(self):
         buf = CountBuffer(10)
         buf.add_counts(7, now=1.0)
-        batch = buf.take_all()
+        batch = buf.take(buf.count)
         assert batch.count == 7
         assert buf.empty
         assert buf.t_sum == 0.0

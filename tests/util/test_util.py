@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.stats import mean_std, summarize_trials
+from repro.util.stats import mean_std
 from repro.util.tables import render_table
 
 
@@ -42,8 +42,3 @@ class TestMeanStd:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_std([])
-
-    def test_summarize_trials(self):
-        mean, std = summarize_trials(lambda seed: float(seed * 2), [1, 2, 3])
-        assert mean == pytest.approx(4.0)
-        assert std > 0
