@@ -70,8 +70,9 @@ def bench_event_chain(n: int = 200_000):
 
 
 def bench_event_chain_internal(n: int = 200_000):
-    """Same cycle through the no-handle internal fast path (`call_after`),
-    falling back to `after` on engines that predate it."""
+    """Same cycle through the no-handle tier (`call_after`: no past-time
+    check, no handle returned), falling back to `after` on engines that
+    predate it."""
     eng = Engine()
     sched = getattr(eng, "call_after", None)
     count = [0]

@@ -9,7 +9,7 @@ produces the same admission decisions for the same event sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import FlowControlError
@@ -96,10 +96,6 @@ class FlowConfig:
             raise FlowControlError(
                 f"max_stall_ns must be non-negative, got {self.max_stall_ns!r}"
             )
-
-    def with_(self, **changes) -> "FlowConfig":
-        """A copy with the given fields replaced (re-validated)."""
-        return replace(self, **changes)
 
     # ------------------------------------------------------------------
     # Declarative spec parsing (the --flow CLI route)

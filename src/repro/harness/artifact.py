@@ -46,8 +46,10 @@ _OPTIONAL_RUN_KEYS = ("utilization", "faults", "reliability", "flow", "timeline"
 _STAGE_REL_TOL = 1e-6
 
 
-def _jsonable(obj: Any) -> Any:
-    """JSON fallback: numpy scalars, paths, dataclasses, sequences."""
+def jsonable(obj: Any) -> Any:
+    """The harness's one JSON fallback (``json.dumps(default=...)``) for
+    artifacts, cache entries, cache keys and journal records: numpy
+    scalars and arrays, paths, dataclasses."""
     if is_dataclass(obj) and not isinstance(obj, type):
         return asdict(obj)
     if hasattr(obj, "item"):  # numpy scalar
@@ -180,7 +182,7 @@ def canonical_metrics_bytes(payload: Any) -> bytes:
     ``--parallel 1`` and ``--parallel N`` and between cold and
     warm-cache runs this way.
     """
-    clean = json.loads(json.dumps(payload, default=_jsonable))
+    clean = json.loads(json.dumps(payload, default=jsonable))
     if isinstance(clean, dict):
         clean.pop("provenance", None)
         sweep = clean.get("sweep")
@@ -190,7 +192,7 @@ def canonical_metrics_bytes(payload: Any) -> bytes:
                     for key in _VOLATILE_CELL_KEYS:
                         cell.pop(key, None)
     return json.dumps(
-        clean, sort_keys=True, separators=(",", ":"), default=_jsonable
+        clean, sort_keys=True, separators=(",", ":"), default=jsonable
     ).encode("utf-8")
 
 
@@ -199,7 +201,7 @@ def write_metrics_json(path: Any, payload: dict) -> Path:
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(
-        json.dumps(payload, indent=2, default=_jsonable, sort_keys=False)
+        json.dumps(payload, indent=2, default=jsonable, sort_keys=False)
         + "\n"
     )
     return out

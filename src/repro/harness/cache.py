@@ -32,24 +32,12 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional
 
+from repro.harness.artifact import jsonable
 from repro.options import RunOptions
 
 #: Bump on any change that invalidates previously cached points
 #: (entry layout, key ingredients, record semantics).
 CACHE_SCHEMA = "repro.sweep-cache/1"
-
-
-def _jsonable(obj: Any) -> Any:
-    """JSON fallback mirroring :mod:`repro.harness.artifact`."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return dataclasses.asdict(obj)
-    if hasattr(obj, "item"):  # numpy scalar
-        return obj.item()
-    if hasattr(obj, "tolist"):  # numpy array
-        return obj.tolist()
-    if isinstance(obj, Path):
-        return str(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
 def cost_model_fingerprint(costs: Any = None) -> Dict[str, Any]:
@@ -79,7 +67,7 @@ def fingerprint(options: Optional[RunOptions], **ingredients: Any) -> str:
     if options is not None:
         payload.update(options.describe())
     blob = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=_jsonable
+        payload, sort_keys=True, separators=(",", ":"), default=jsonable
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -163,7 +151,7 @@ class ResultCache:
         doc["schema"] = CACHE_SCHEMA
         doc["key"] = key
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(doc, default=_jsonable) + "\n")
+        tmp.write_text(json.dumps(doc, default=jsonable) + "\n")
         os.replace(tmp, path)
         return path
 

@@ -110,14 +110,14 @@ def _build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument(
         "--timeline-cadence",
         type=float,
-        default=50_000.0,
+        default=None,
         metavar="NS",
         help="simulated-time sampling cadence in ns (default: 50000)",
     )
     telemetry.add_argument(
         "--timeline-capacity",
         type=int,
-        default=512,
+        default=None,
         metavar="N",
         help=(
             "flight-recorder ring capacity in samples; on overflow the "
@@ -279,10 +279,11 @@ def _run_options(args) -> RunOptions:
     if args.timeline:
         from repro.obs import ObsConfig, TimelineConfig
 
+        cadence, capacity = args.timeline_cadence, args.timeline_capacity
         obs = ObsConfig(
             timeline=TimelineConfig(
-                cadence_ns=args.timeline_cadence,
-                capacity=args.timeline_capacity,
+                cadence_ns=50_000.0 if cadence is None else cadence,
+                capacity=512 if capacity is None else capacity,
             )
         )
     return RunOptions(faults=args.faults, flow=args.flow, obs=obs)
@@ -315,9 +316,14 @@ def _pool_config(args) -> PoolConfig:
 #: Sweep-only flags: a figure runs several grids, so it takes no
 #: journal or point budget.
 _SWEEP_ONLY = ("journal", "resume", "max_points")
-#: What ``validate`` and ``report`` would drop on top: they run the
-#: figures clean and write no artifact.
+#: What the targets without run options would drop on top.
 _RUN_OPTION_FLAGS = ("faults", "flow", "timeline", "metrics_out")
+#: ``validate`` and ``report`` run the figures clean and write no
+#: artifact; the others run no simulation at all.
+_NO_RUN_OPTIONS = ("validate", "report", "list", "validate-metrics", "timeline-plot")
+#: The flight recorder's shape, dropped by every target without
+#: ``--timeline``.
+_TIMELINE_SHAPE = ("timeline_cadence", "timeline_capacity")
 
 
 #: The one target that honours crash keys in ``--faults``: its figure
@@ -329,15 +335,21 @@ _CRASH_TARGET = "extB"
 
 def _refused_flag(args) -> Optional[str]:
     """The first flag ``args.target`` would silently drop, if any."""
-    if args.target in ("validate", "report"):
+    if args.target in _NO_RUN_OPTIONS:
         refused = _SWEEP_ONLY + _RUN_OPTION_FLAGS
     elif args.target == "all" or args.target in FIGURES:
         refused = _SWEEP_ONLY
+    elif args.target == "sweep":
+        refused = ()
     else:
         return None
     for dest in refused:
         if getattr(args, dest) not in (None, False):
             return "--" + dest.replace("_", "-")
+    if not args.timeline:
+        for dest in _TIMELINE_SHAPE:
+            if getattr(args, dest) is not None:
+                return "--" + dest.replace("_", "-") + " without --timeline"
     return None
 
 

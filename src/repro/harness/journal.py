@@ -36,17 +36,13 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Mapping
 
+from repro.harness.artifact import jsonable
+
 #: Bump on any change to the record layout or fingerprint ingredients.
 #: /2 dropped the per-point ``status``/``retries``/``error`` fields: a
 #: /1 journal may hold failed entries with a null value, so it is
 #: rotated rather than replayed.
 JOURNAL_SCHEMA = "repro.sweep-journal/2"
-
-
-def _jsonable(obj: Any) -> Any:
-    from repro.harness.cache import _jsonable as cache_jsonable
-
-    return cache_jsonable(obj)
 
 
 class SweepJournal:
@@ -116,7 +112,7 @@ class SweepJournal:
 
     # ------------------------------------------------------------------
     def _append(self, doc: Mapping[str, Any]) -> None:
-        line = json.dumps(doc, separators=(",", ":"), default=_jsonable)
+        line = json.dumps(doc, separators=(",", ":"), default=jsonable)
         self._fh.write(line + "\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())

@@ -140,7 +140,13 @@ class CostModel:
     # Derived charges
     # ------------------------------------------------------------------
     def wire_latency_ns(self, same_node: bool) -> float:
-        """One-way latency of the transport between two processes."""
+        """One-way latency of the transport between two processes.
+
+        The wire is distance-insensitive, as on the flat and fat-tree
+        topologies the paper targets: every node pair pays
+        ``alpha_inter_ns`` and processes on one node pay
+        ``alpha_intra_ns``. Serialization (bandwidth contention) is
+        modelled at the NICs, not here."""
         return self.alpha_intra_ns if same_node else self.alpha_inter_ns
 
     def tx_occupancy_ns(self, payload_bytes: int) -> float:

@@ -131,26 +131,12 @@ class MachineConfig:
         self._check_worker(worker)
         return worker % self.workers_per_process
 
-    def worker_id(self, process: int, local_rank: int) -> int:
-        """Global worker id from (process, within-process rank)."""
-        self._check_process(process)
-        if not 0 <= local_rank < self.workers_per_process:
-            raise ConfigError(
-                f"local_rank {local_rank} out of range "
-                f"[0, {self.workers_per_process})"
-            )
-        return process * self.workers_per_process + local_rank
-
     # ------------------------------------------------------------------
     # Locality predicates
     # ------------------------------------------------------------------
     def same_process(self, a: int, b: int) -> bool:
         """Whether workers ``a`` and ``b`` share a process."""
         return self.process_of_worker(a) == self.process_of_worker(b)
-
-    def same_node(self, a: int, b: int) -> bool:
-        """Whether workers ``a`` and ``b`` share a physical node."""
-        return self.node_of_worker(a) == self.node_of_worker(b)
 
     # ------------------------------------------------------------------
     # Validation helpers

@@ -7,13 +7,11 @@ injections per node. Intra-node inter-process transfers bypass the NIC
 and use the cheaper ``alpha_intra`` transport (CMA/xpmem-style).
 """
 
-from repro.network.fabric import Fabric
 from repro.network.message import NetMessage, Route
 from repro.network.nic import Nic, NicStats
 from repro.network.pingpong import PingPongResult, measure_pingpong
 
 __all__ = [
-    "Fabric",
     "NetMessage",
     "Nic",
     "NicStats",

@@ -27,7 +27,6 @@ from repro.flow.config import FlowConfig
 from repro.flow.controller import FlowController
 from repro.machine.costs import CostModel
 from repro.machine.topology import MachineConfig
-from repro.network.fabric import Fabric
 from repro.network.nic import Nic
 from repro.obs.config import ObsConfig
 from repro.obs.timeline import TimelineRecorder
@@ -102,7 +101,6 @@ class RuntimeSystem:
             self.engine.configure_owners(machine.nodes)
 
         self.rng = RngStreams(seed)
-        self.fabric = Fabric(self.costs)
         self.transport = Transport(self)
         self._handlers: Dict[str, Callable] = {}
 

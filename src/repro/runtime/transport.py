@@ -142,7 +142,7 @@ class Transport:
         else:
             src_nic = rt.node(src_node).nic_for_process(src_process)
             dst_nic = rt.node(dst_node).nic_for_process(msg.dst_process)
-            latency = rt.fabric.latency_between_nodes(src_node, dst_node)
+            latency = rt.costs.wire_latency_ns(src_node == dst_node)
             if rt.flow is None:
                 src_nic.inject(msg, dst_nic, latency)
             else:

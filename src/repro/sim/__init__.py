@@ -8,9 +8,10 @@ Public surface
 --------------
 :class:`~repro.sim.engine.Engine`
     The event loop: schedule callbacks at absolute or relative simulated
-    times (``at``/``after``, no-handle ``call_at`` / ``call_after``, and
-    ``timer_at``/``timer_after`` for timeouts, which wait in a second
-    queue), run to exhaustion or to a horizon.
+    times (``at``/``after``, the unchecked no-handle ``call_at`` /
+    ``call_after``, and ``timer_at``/``timer_after`` for timeouts, which
+    wait in a second queue), run to exhaustion or to a horizon. One run
+    loop serves every run; ``max_events`` bounds it in tests.
 :func:`~repro.sim.event.Event`
     Factory for a cancellable scheduled callback (a plain list; see
     :mod:`repro.sim.event` for the representation).

@@ -23,8 +23,8 @@ Determinism
 Two runs with the same configuration and seeds execute the identical
 event sequence: ties in firing time are broken by ``seq``, and all
 randomness flows through :class:`repro.sim.rng.RngStreams`. The two
-queues cannot reorder anything: the run loops compare the two live
-heads as ``[time, seq, ...]`` lists and fire the smaller, so the merged
+queues cannot reorder anything: the run loop compares the two live
+heads as ``[time, seq, ...]`` lists and fires the smaller, so the merged
 stream is the exact ``(time, seq)`` total order regardless of which
 queue an event waited in. ``tests/properties/test_prop_sim.py`` pins
 this with a randomized ``after``-versus-``timer_after`` equivalence
@@ -50,6 +50,13 @@ event already queued for ``now``.
 
 Events are plain lists (see :mod:`repro.sim.event`): slot 2 is the
 state, and the list itself is the cancellation handle.
+
+One run loop
+------------
+:meth:`Engine.run` has a single loop, :meth:`Engine._run_fast`, for every
+run: unbounded, to a horizon, with a timeline sampler, and under the
+tests' ``max_events`` runaway guard. The guard costs one local compare
+per event, so the tests drive the loop the figures run.
 """
 
 from __future__ import annotations
@@ -59,16 +66,11 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.event import ST_CONSUMED, ST_PENDING, ST_POOLED, ST_TIMER
+from repro.sim.event import ST_CONSUMED, ST_PENDING, ST_TIMER
 from repro.sim.queue import EventQueue
 
 _heappush = heappush
 _heappop = heappop
-
-#: Upper bound on recycled event lists kept by the pool. Pooling only
-#: pays off once the heap is deep enough to outgrow CPython's internal
-#: list free-list; the cap bounds memory after a transient burst.
-POOL_CAP = 4096
 
 
 @dataclass
@@ -77,7 +79,6 @@ class RunStats:
 
     events_fired: int = 0
     end_time: float = 0.0
-    stopped_early: bool = False
     horizon_reached: bool = False
     #: Time of the last event actually fired by this call (unlike
     #: ``end_time``, never advanced to an un-fired horizon).
@@ -95,13 +96,11 @@ class Engine:
         "_timers",
         "_heap",
         "_theap",
-        "_pool",
         "_owner_seq",
         "_n_owners",
         "_n_slots",
         "_owner_mod",
         "_running",
-        "_stop_requested",
     )
 
     def __init__(self, now: float = 0.0) -> None:
@@ -110,7 +109,7 @@ class Engine:
         #: the first event at-or-past ``sampler.next_due``, the run loop
         #: calls ``sampler.on_boundary(t)``. Driving sampling from the
         #: event stream (rather than self-rescheduling sampler events)
-        #: keeps run-to-exhaustion quiescence intact; the fast loop folds
+        #: keeps run-to-exhaustion quiescence intact; the loop folds
         #: ``next_due`` into its single "next stop" compare.
         self.sampler: Optional[Any] = None
         #: Owner slot of the event currently firing (multi-owner engines
@@ -124,7 +123,6 @@ class Engine:
         #: rebuilds in place so these aliases never go stale.
         self._heap = self._queue._heap
         self._theap = self._timers._heap
-        self._pool: list = []
         self._n_owners = 1
         self._n_slots = 1
         #: 0 disables per-event owner decoding (single-owner engines);
@@ -132,7 +130,6 @@ class Engine:
         self._owner_mod = 0
         self._owner_seq = [0]
         self._running = False
-        self._stop_requested = False
 
     # ------------------------------------------------------------------
     # Owner configuration (multi-node runtimes)
@@ -197,26 +194,16 @@ class Engine:
     def call_at(self, time: float, fn: Callable[..., Any], args: tuple = ()) -> None:
         """No-handle fast path: like :meth:`at` but skips the past-time
         check (callers pass times derived from ``now`` plus non-negative
-        costs) and returns nothing, so the event list can be recycled
-        through the pool after it fires. Use for internal fire-and-forget
+        costs) and returns nothing. Use for internal fire-and-forget
         scheduling on hot paths; anything that might be cancelled needs
         :meth:`at` or :meth:`timer_at`."""
         cur = self.current_owner
         seqs = self._owner_seq
         oseq = seqs[cur]
         seqs[cur] = oseq + 1
-        seq = oseq * self._n_slots + cur
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev[0] = time
-            ev[1] = seq
-            ev[2] = ST_POOLED
-            ev[3] = fn
-            ev[4] = args
-        else:
-            ev = [time, seq, ST_POOLED, fn, args]
-        _heappush(self._heap, ev)
+        _heappush(
+            self._heap, [time, oseq * self._n_slots + cur, ST_PENDING, fn, args]
+        )
 
     def call_after(self, delay: float, fn: Callable[..., Any], args: tuple = ()) -> None:
         """No-handle fast path twin of :meth:`after` (delay must be >= 0,
@@ -225,18 +212,10 @@ class Engine:
         seqs = self._owner_seq
         oseq = seqs[cur]
         seqs[cur] = oseq + 1
-        seq = oseq * self._n_slots + cur
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev[0] = self.now + delay
-            ev[1] = seq
-            ev[2] = ST_POOLED
-            ev[3] = fn
-            ev[4] = args
-        else:
-            ev = [self.now + delay, seq, ST_POOLED, fn, args]
-        _heappush(self._heap, ev)
+        _heappush(
+            self._heap,
+            [self.now + delay, oseq * self._n_slots + cur, ST_PENDING, fn, args],
+        )
 
     # ------------------------------------------------------------------
     # Scheduling — cross-owner wire channels
@@ -272,17 +251,7 @@ class Engine:
             self.call_at(time, fn, args)
             return
         seq = self.wire_seq(src_owner, dst_owner)
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev[0] = time
-            ev[1] = seq
-            ev[2] = ST_POOLED
-            ev[3] = fn
-            ev[4] = args
-        else:
-            ev = [time, seq, ST_POOLED, fn, args]
-        _heappush(self._heap, ev)
+        _heappush(self._heap, [time, seq, ST_PENDING, fn, args])
 
     # ------------------------------------------------------------------
     # Scheduling — timer queue (timeouts)
@@ -329,7 +298,7 @@ class Engine:
         event it does not fire, so a handle scheduled beyond ``until``
         still cancels the real queued event."""
         state = event[2]
-        if state == ST_PENDING or state == ST_POOLED:
+        if state == ST_PENDING:
             self._queue.cancel(event)
         elif state == ST_TIMER:
             self._timers.cancel(event)
@@ -361,7 +330,7 @@ class Engine:
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> RunStats:
-        """Process events until exhaustion, a horizon, or :meth:`stop`.
+        """Process events until exhaustion or a horizon.
 
         Parameters
         ----------
@@ -376,8 +345,10 @@ class Engine:
             stay queued, so their handles remain valid and a later
             :meth:`run` call fires them.
         max_events:
-            Safety valve for tests: abort with :class:`SimulationError`
-            after this many events (catches accidental infinite loops).
+            Safety valve for tests: raise :class:`SimulationError` when
+            an event would fire (before ``until``) after this many have
+            (catches accidental infinite loops). A run that needs no
+            more events returns exactly as an unbounded one would.
 
         Returns
         -------
@@ -386,22 +357,24 @@ class Engine:
         """
         if self._running:
             raise SimulationError("Engine.run() is not reentrant")
+        if max_events is None:
+            cap = -1
+        elif max_events < 0:
+            raise SimulationError(f"max_events must be >= 0, got {max_events}")
+        else:
+            cap = max_events
         self._running = True
-        self._stop_requested = False
         stats = RunStats()
         stats.last_event_time = self.now
         try:
-            if max_events is None:
-                self._run_fast(stats, until)
-            else:
-                self._run_general(stats, until, max_events)
+            self._run_fast(stats, until, cap)
         finally:
             self._running = False
         stats.end_time = self.now
         return stats
 
-    def _run_fast(self, stats: RunStats, until: Optional[float]) -> None:
-        """Unobserved run: the simulator's hot loop.
+    def _run_fast(self, stats: RunStats, until: Optional[float], cap: int) -> None:
+        """The run loop: the simulator's hot path.
 
         One "next stop" time, ``min(until, sampler.next_due)`` (``inf``
         when neither is set), covers both the horizon and the timeline
@@ -411,19 +384,22 @@ class Engine:
 
         While the timer queue is empty the loop pops the main heap
         directly; otherwise it fires the smaller of the two live heads.
+
+        ``cap`` is ``max_events`` (``-1`` when unbounded). The loop exits
+        once ``cap`` events have fired; only then does it look for a
+        further live event before ``until``, and raise if there is one.
         """
         queue = self._queue
         heap = self._heap
         timers = self._timers
         theap = self._theap
-        pool = self._pool
         sampler = self.sampler
         mod = self._owner_mod
         nown = self._n_owners
         limit = float("inf") if until is None else until
         stop = limit if sampler is None else min(limit, sampler.next_due)
         fired = 0
-        while not self._stop_requested:
+        while fired != cap:
             if theap:
                 ev = timers.peek()
                 hev = queue.peek()
@@ -442,12 +418,11 @@ class Engine:
                     queue._corpses -= 1
                 else:
                     break
-            state = ev[2]
             t = ev[0]
             if t >= stop:
                 if t >= limit:
                     # It belongs to a later run() call; put it back.
-                    _heappush(theap if state == ST_TIMER else heap, ev)
+                    _heappush(theap if ev[2] == ST_TIMER else heap, ev)
                     stats.horizon_reached = True
                     break
                 # Sample state-at-boundary before the crossing event
@@ -460,80 +435,19 @@ class Engine:
             fired += 1
             ev[2] = ST_CONSUMED
             ev[3](*ev[4])
-            if state == ST_POOLED and len(pool) < POOL_CAP:
-                pool.append(ev)
         else:
-            stats.stopped_early = True
+            t = self.peek_time()
+            if t is not None:
+                if t < limit:
+                    raise SimulationError(
+                        f"exceeded max_events={cap}; probable runaway loop"
+                    )
+                stats.horizon_reached = True
         stats.events_fired = fired
         stats.last_event_time = self.now
         if stats.horizon_reached and self.now < until:
             # A deferred event exists; park the clock at the horizon.
             self.now = until
-
-    def _run_general(
-        self, stats: RunStats, until: Optional[float], max_events: Optional[int]
-    ) -> None:
-        """The guarded loop: :meth:`_run_fast` plus ``max_events``.
-        Peeks before popping so an event beyond the horizon is never
-        removed — that is what keeps cancel handles valid across
-        successive horizons."""
-        queue = self._queue
-        heap = self._heap
-        timers = self._timers
-        theap = self._theap
-        pool = self._pool
-        sampler = self.sampler
-        mod = self._owner_mod
-        nown = self._n_owners
-        next_due = sampler.next_due if sampler is not None else None
-        fired = 0
-        while True:
-            if self._stop_requested:
-                stats.stopped_early = True
-                break
-            ev = queue.peek()
-            if theap:
-                tev = timers.peek()
-                if tev is not None and (ev is None or tev < ev):
-                    ev = tev
-            if ev is None:
-                break
-            t = ev[0]
-            if until is not None and t >= until:
-                # It belongs to a later run() call; leave it in place.
-                stats.horizon_reached = True
-                break
-            state = ev[2]
-            _heappop(theap if state == ST_TIMER else heap)
-            if next_due is not None and t >= next_due:
-                # Sample state-at-boundary before the crossing event
-                # fires; all applied events are strictly earlier.
-                next_due = sampler.on_boundary(t)
-            if t < self.now:  # pragma: no cover - invariant guard
-                raise SimulationError(
-                    f"time went backwards: event at {t}, now {self.now}"
-                )
-            self.now = t
-            if mod:
-                slot = ev[1] % mod
-                self.current_owner = slot if slot < nown else (slot - nown) % nown
-            fired += 1
-            if max_events is not None and fired > max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; probable runaway loop"
-                )
-            ev[2] = ST_CONSUMED
-            ev[3](*ev[4])
-            if state == ST_POOLED and len(pool) < POOL_CAP:
-                pool.append(ev)
-        stats.events_fired = fired
-        stats.last_event_time = self.now
-        if stats.horizon_reached and until is not None and self.now < until:
-            self.now = until
-
-    def stop(self) -> None:
-        """Request the current :meth:`run` loop to stop after this event."""
-        self._stop_requested = True
 
     def reset(self) -> None:
         """Clear the queue and rewind the clock (for test reuse)."""
@@ -543,8 +457,6 @@ class Engine:
         self._heap = self._queue._heap
         self._timers = EventQueue()
         self._theap = self._timers._heap
-        self._pool = []
         self.now = 0.0
         self._owner_seq = [0] * self._n_slots
         self.current_owner = 0
-        self._stop_requested = False

@@ -26,13 +26,10 @@ State machine (slot ``EV_STATE``):
 ``ST_TIMER`` (3)
     Live, waiting in the engine's timer queue (armed through
     :meth:`Engine.timer_at` / :meth:`Engine.timer_after`).
-``ST_POOLED`` (4)
-    Live in the main queue, but scheduled through the engine's no-handle
-    fast path (:meth:`Engine.call_at`): no reference escaped the engine, so
-    after firing the list is recycled through the event pool. Only
-    state-4 events are ever pooled — a pooled event can have no stale
-    handle pointing at it, so recycling can never resurrect a
-    cancelled-by-handle event.
+
+Events scheduled through the engine's no-handle tier
+(:meth:`Engine.call_at` and its twins) are ``ST_PENDING`` too; they
+differ only in that no reference to the list escapes the engine.
 
 Cancellation is *lazy*: the engine flips the state slot to 0 and counts
 the corpse; the queues discard dead events when they reach the head
@@ -55,9 +52,8 @@ ST_CANCELLED = 0
 ST_PENDING = 1
 ST_CONSUMED = 2
 ST_TIMER = 3
-ST_POOLED = 4
 
-_STATE_NAMES = ("cancelled", "pending", "fired", "timer", "pooled")
+_STATE_NAMES = ("cancelled", "pending", "fired", "timer")
 
 
 def Event(time: float, seq: int, fn: Callable[..., Any], args: tuple = ()) -> list:

@@ -8,7 +8,7 @@ resized flush sends are always on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
@@ -72,7 +72,3 @@ class TramConfig:
                 f"overload_buffer_growth must be >= 1, got "
                 f"{self.overload_buffer_growth}"
             )
-
-    def with_(self, **changes) -> "TramConfig":
-        """Return a copy with the given fields changed."""
-        return replace(self, **changes)

@@ -7,6 +7,8 @@ ordering under backpressure stalls, and overload escalation composed
 with scripted comm-thread stalls.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.faults import FaultPlan, FaultWindow
@@ -134,7 +136,7 @@ class TestExpeditedBypass:
         backpressure-stalled task must run before normal tasks that were
         queued ahead of it. A scripted comm-thread stall supplies the
         pressure that makes the source stalls long enough to observe."""
-        flow = TINY.with_(max_stall_ns=200_000.0)
+        flow = replace(TINY, max_stall_ns=200_000.0)
         plan = FaultPlan(
             windows=(FaultWindow(0.0, 100_000.0, "ct_stall", target=0),)
         )

@@ -13,6 +13,8 @@ full soup behind the reliability layer: nothing may be shed or lost,
 every item arrives exactly once.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.faults import FaultPlan, FaultWindow
@@ -48,7 +50,7 @@ SHEDDING = FlowConfig(
     max_stall_ns=10_000.0,
 )
 
-CAPS_ONLY = SHEDDING.with_(shed_backlog_ns=None)
+CAPS_ONLY = replace(SHEDDING, shed_backlog_ns=None)
 
 REL = ReliabilityConfig(retransmit_timeout_ns=60_000.0, ack_delay_ns=1_000.0)
 

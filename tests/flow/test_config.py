@@ -1,5 +1,7 @@
 """FlowConfig validation, spec parsing and the ambient session."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigError, FlowControlError
@@ -39,7 +41,7 @@ class TestValidation:
             FlowConfig(ct_max_msgs=0)
 
     def test_with_copies(self):
-        cfg = FlowConfig().with_(ct_max_msgs=7, shed_backlog_ns=1e6)
+        cfg = replace(FlowConfig(), ct_max_msgs=7, shed_backlog_ns=1e6)
         assert cfg.ct_max_msgs == 7
         assert cfg.shed_backlog_ns == 1e6
         assert FlowConfig().ct_max_msgs != 7  # original untouched

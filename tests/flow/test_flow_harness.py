@@ -179,6 +179,23 @@ class TestCli:
         ["all", "--journal", "j.jsonl"],
         ["all", "--resume"],
         ["all", "--max-points", "1"],
+    ] + [
+        # Targets that run no simulation drop every run and sweep flag.
+        [target, *path, *flag]
+        for target, path in (("list", ()), ("validate-metrics", ("m.json",)),
+                             ("timeline-plot", ("m.json",)))
+        for flag in (["--faults", "drop=0.01"], ["--flow", "ct_msgs=8"],
+                     ["--timeline"], ["--metrics-out", "out.json"],
+                     ["--journal", "j.jsonl"], ["--resume"],
+                     ["--max-points", "1"])
+    ] + [
+        # Without --timeline, every target drops the recorder's shape.
+        ["fig1", "--timeline-cadence", "1000", "--profile", "quick",
+         "--metrics-out", "f.json"],
+        ["fig1", "--timeline-capacity", "64", "--profile", "quick"],
+        ["sweep", "--timeline-cadence", "1000", "--app", "pingack",
+         "--axes", "nodes=2", "--no-cache"],
+        ["list", "--timeline-capacity", "64"],
     ])
     def test_dropped_flag_refused(self, argv, tmp_path, monkeypatch, capsys):
         from repro.harness.cli import main
@@ -187,8 +204,22 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert argv[1] in err
+        assert next(a for a in argv if a.startswith("--")) in err
         assert list(tmp_path.iterdir()) == []  # refused before running
+
+    def test_timeline_shape_defaults_resolve_as_before(self):
+        from repro.harness.cli import _build_parser, _run_options
+
+        def timeline(argv):
+            return _run_options(_build_parser().parse_args(argv)).obs.timeline
+
+        default = timeline(["fig1", "--timeline"])
+        assert (default.cadence_ns, default.capacity) == (50_000.0, 512)
+        assert type(default.cadence_ns) is float
+        assert type(default.capacity) is int
+        shaped = timeline(["fig1", "--timeline", "--timeline-cadence", "1000",
+                           "--timeline-capacity", "64"])
+        assert (shaped.cadence_ns, shaped.capacity) == (1000.0, 64)
 
 
 class TestSweep:

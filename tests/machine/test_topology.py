@@ -59,7 +59,8 @@ class TestMaps:
         for w in range(cfg.total_workers):
             p = cfg.process_of_worker(w)
             r = cfg.local_rank_of_worker(w)
-            assert cfg.worker_id(p, r) == w
+            assert p * cfg.workers_per_process + r == w
+            assert w in cfg.workers_of_process(p)
 
 
 class TestPredicates:
@@ -68,8 +69,8 @@ class TestPredicates:
         assert not cfg.same_process(3, 4)
 
     def test_same_node(self, cfg):
-        assert cfg.same_node(0, 7)
-        assert not cfg.same_node(7, 8)
+        assert cfg.node_of_worker(0) == cfg.node_of_worker(7)
+        assert cfg.node_of_worker(7) != cfg.node_of_worker(8)
 
 
 class TestValidation:
@@ -106,7 +107,9 @@ class TestValidation:
 
     def test_bad_local_rank(self, cfg):
         with pytest.raises(ConfigError):
-            cfg.worker_id(0, 4)
+            cfg.local_rank_of_worker(24)
+        with pytest.raises(ConfigError):
+            cfg.local_rank_of_worker(-1)
 
     def test_frozen(self, cfg):
         with pytest.raises(Exception):

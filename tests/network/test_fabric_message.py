@@ -1,39 +1,26 @@
-"""Unit tests for the fabric latency oracle and message envelope."""
-
-import pytest
+"""Unit tests for the wire latency model and message envelope."""
 
 from repro.machine.costs import CostModel
 from repro.machine.topology import MachineConfig
-from repro.network.fabric import Fabric
 from repro.network.message import NetMessage, Route
 
 
 MACHINE = MachineConfig(nodes=2, processes_per_node=2, workers_per_process=2)
-
-
-@pytest.fixture
-def fabric():
-    return Fabric(CostModel())
+COSTS = CostModel(alpha_inter_ns=1900.0, alpha_intra_ns=700.0)
 
 
 class TestFabric:
-    def test_same_node_uses_intra_alpha(self, fabric):
+    def test_same_node_uses_intra_alpha(self):
         node = MACHINE.node_of_process
-        assert (
-            fabric.latency_between_nodes(node(0), node(1))
-            == fabric.costs.alpha_intra_ns
-        )
+        assert COSTS.wire_latency_ns(node(0) == node(1)) == 700.0
 
-    def test_cross_node_uses_inter_alpha(self, fabric):
+    def test_cross_node_uses_inter_alpha(self):
         node = MACHINE.node_of_process
-        assert (
-            fabric.latency_between_nodes(node(0), node(2))
-            == fabric.costs.alpha_inter_ns
-        )
+        assert COSTS.wire_latency_ns(node(0) == node(2)) == 1900.0
 
-    def test_node_level(self, fabric):
-        assert fabric.latency_between_nodes(0, 0) == fabric.costs.alpha_intra_ns
-        assert fabric.latency_between_nodes(0, 1) == fabric.costs.alpha_inter_ns
+    def test_node_level(self):
+        assert COSTS.wire_latency_ns(True) == COSTS.alpha_intra_ns
+        assert COSTS.wire_latency_ns(False) == COSTS.alpha_inter_ns
 
 
 class TestNetMessage:

@@ -27,7 +27,7 @@ class TestTopologyProperties:
         w = data.draw(st.integers(0, m.total_workers - 1))
         p = m.process_of_worker(w)
         r = m.local_rank_of_worker(w)
-        assert m.worker_id(p, r) == w
+        assert p * m.workers_per_process + r == w
         assert w in m.workers_of_process(p)
         assert w in m.workers_of_node(m.node_of_worker(w))
 
@@ -47,7 +47,7 @@ class TestTopologyProperties:
         a = data.draw(st.integers(0, m.total_workers - 1))
         b = data.draw(st.integers(0, m.total_workers - 1))
         if m.same_process(a, b):
-            assert m.same_node(a, b)
+            assert m.node_of_worker(a) == m.node_of_worker(b)
 
 
 class TestAnalysisProperties:

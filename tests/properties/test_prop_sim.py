@@ -1,8 +1,12 @@
 """Property-based tests for the DES substrate."""
 
+from dataclasses import asdict
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.sim.engine import Engine
 from repro.sim.event import EV_SEQ, EV_TIME, Event
 from repro.sim.queue import EventQueue
@@ -105,13 +109,33 @@ script_st = st.lists(step_st, min_size=1, max_size=25)
 horizons_st = st.lists(st.integers(1, 60), max_size=3)
 
 
+class _Sampler:
+    """Boundary sampler on a 1000 ns cadence recording, per boundary, its
+    time and how many events had fired before it."""
+
+    def __init__(self, fired):
+        self.fired = fired
+        self.next_due = 1000.0
+        self.boundaries = []
+
+    def on_boundary(self, t):
+        self.boundaries.append((t, len(self.fired)))
+        self.next_due = (t // 1000.0 + 1) * 1000.0
+        return self.next_due
+
+
 def _run_script(script, horizons, use_timers: bool, n_owners: int = 1,
-                **run_kwargs):
-    """Interpret the script on one engine; return the fired sequence."""
+                bounds=None, sampler: bool = False):
+    """Interpret the script on one engine, one ``run()`` call per horizon
+    and a last unbounded one, ``bounds[k]`` being call k's
+    ``max_events``. Returns the fired sequence, each call's
+    ``(RunStats, clock after it)`` and the sampler's boundaries."""
     eng = Engine()
     eng.configure_owners(n_owners)
     fired = []
     handles = []
+    if sampler:
+        eng.sampler = _Sampler(fired)
 
     def payload(tag, follow, arm):
         fired.append((eng.now, tag))
@@ -135,12 +159,16 @@ def _run_script(script, horizons, use_timers: bool, n_owners: int = 1,
             eng.after(next_adv * 250.0, step, i + 1)
 
     eng.after(script[0][0] * 250.0, step, 0)
-    for h in sorted(horizons):
+    windows = [h * 250.0 for h in sorted(horizons)] + [None]
+    runs = []
+    for k, until in enumerate(windows):
         # Deferred events keep their handles.
-        eng.run(until=h * 250.0, **run_kwargs)
-    eng.run(**run_kwargs)
+        stats = eng.run(
+            until=until, max_events=None if bounds is None else bounds[k]
+        )
+        runs.append((asdict(stats), eng.now))
     assert eng.pending == 0
-    return fired
+    return fired, runs, eng.sampler.boundaries if sampler else None
 
 
 class TestTimerQueueEquivalence:
@@ -151,14 +179,39 @@ class TestTimerQueueEquivalence:
         the exact (time, seq, fn) sequence of one that arms everything
         through ``after``, under randomized arm/cancel/requeue, on
         single- and three-owner engines (where seqs are not monotone in
-        arm order), in the fast loop and in the instrumented
-        (``max_events``) loop: the fired (now, tag) streams must match
-        element for element."""
-        heap_only, heap_only_general, timers, timers_general = (
-            _run_script(script, horizons, use_timers, n_owners, **kwargs)
-            for use_timers in (False, True)
-            for kwargs in ({}, {"max_events": 10_000})
-        )
-        assert timers == heap_only
-        assert heap_only_general == heap_only
-        assert timers_general == heap_only
+        arm order), with and without a boundary sampler: the fired
+        (now, tag) streams, every run's stats and clock, and the sampled
+        boundaries must match element for element."""
+        for sampler in (False, True):
+            heap_only, timers = (
+                _run_script(script, horizons, use_timers, n_owners,
+                            sampler=sampler)
+                for use_timers in (False, True)
+            )
+            assert timers == heap_only
+
+
+class TestMaxEventsBound:
+    @given(script_st, horizons_st, st.sampled_from((1, 3)),
+           st.integers(0, 2), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bound_changes_nothing_until_exceeded(
+        self, script, horizons, n_owners, extra, data
+    ):
+        """Per ``run()`` call, a ``max_events`` bound at or above the
+        call's event count gives the unbounded run's fired stream,
+        stats, clock and sampler boundaries; one below it raises,
+        because one more event would fire before that call's ``until``."""
+        free = _run_script(script, horizons, True, n_owners, sampler=True)
+        counts = [stats["events_fired"] for stats, _ in free[1]]
+        bounds = [n + extra for n in counts]
+        assert _run_script(script, horizons, True, n_owners,
+                           bounds=bounds, sampler=True) == free
+        k = data.draw(st.integers(0, len(counts) - 1))
+        if counts[k]:
+            bounds = [None] * len(counts)
+            bounds[k] = counts[k] - 1
+            with pytest.raises(SimulationError,
+                               match=f"max_events={counts[k] - 1};"):
+                _run_script(script, horizons, True, n_owners,
+                            bounds=bounds, sampler=True)

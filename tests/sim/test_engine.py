@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.engine import Engine
-from repro.sim.event import EV_TIME
+from repro.sim.event import EV_STATE, ST_CONSUMED
 
 
 class TestScheduling:
@@ -98,16 +98,6 @@ class TestRunControl:
         assert eng.pending == 1
         eng.run()
         assert fired == ["early", "late"]
-
-    def test_stop_from_handler(self):
-        eng = Engine()
-        fired = []
-        eng.after(1.0, lambda: (fired.append(1), eng.stop()))
-        eng.after(2.0, fired.append, 2)
-        stats = eng.run()
-        assert stats.stopped_early
-        assert fired == [1]
-        assert eng.pending == 1
 
     def test_max_events_guard(self):
         eng = Engine()
@@ -213,51 +203,34 @@ class TestTimerQueueMerge:
         assert eng.peek_time() == 20.0
 
 
-class TestEventPool:
-    def test_internal_events_are_pooled_after_firing(self):
-        eng = Engine()
-        eng.call_after(1.0, lambda _: None, (0,))
-        eng.run()
-        assert len(eng._pool) == 1
-
-    def test_handle_bearing_events_are_never_pooled(self):
-        eng = Engine()
-        h = eng.at(1.0, lambda: None)
-        eng.timer_at(2.0, lambda: None)
-        eng.run()
-        assert h not in eng._pool
-        assert eng._pool == []
-
-    def test_recycled_event_fires_with_new_payload(self):
+class TestNoHandleTier:
+    def test_call_events_share_the_main_queue_order(self):
+        """``call_*`` events take seqs from the same counter as ``at`` and
+        fire in ``(time, seq)`` order beside handle-bearing events."""
         eng = Engine()
         order = []
-        eng.call_after(1.0, order.append, ("x",))
+        eng.call_after(1.0, order.append, ("c0",))
+        h = eng.at(1.0, order.append, "h")
+        eng.call_at(1.0, order.append, ("c1",))
+        eng.timer_at(1.0, order.append, "t")
+        eng.call_at(0.5, order.append, ("c2",))
+        assert eng.pending == 5
         eng.run()
-        recycled = eng._pool[-1]
-        eng.call_after(1.0, order.append, ("y",))
-        assert eng._pool == []  # the pooled list was taken back out
-        assert recycled[EV_TIME] == 2.0  # now(=1.0) + 1.0 delay
-        eng.run()
-        assert order == ["x", "y"]
+        assert order == ["c2", "c0", "h", "c1", "t"]
+        assert h[EV_STATE] == ST_CONSUMED
 
-    def test_pool_reuse_cannot_resurrect_cancelled_events(self):
-        """A cancelled handle must stay dead through pool churn: pooled
-        lists are only ever the engine's own no-handle events, so a
-        recycled list can never be one a caller still points at."""
+    def test_cancelled_handle_stays_dead_beside_call_events(self):
         eng = Engine()
         fired = []
         h = eng.at(5.0, fired.append, "cancelled")
         eng.cancel(h)
-        # Churn the pool across the same timestamps.
         for i in range(10):
             eng.call_after(float(i), fired.append, (i,))
         eng.run()
-        assert "cancelled" not in fired
         assert fired == list(range(10))
-        # The dead handle's list was dropped, not pooled.
-        assert h not in eng._pool
-        # Stale cancel of the long-fired handle is still a safe noop.
+        # Stale cancel of the long-dead handle is still a safe noop.
         eng.cancel(h)
         eng.call_after(1.0, fired.append, ("tail",))
         eng.run()
         assert fired[-1] == "tail"
+        assert eng.now == 10.0

@@ -1,5 +1,7 @@
 """Unit tests for TramConfig validation and statistics containers."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigError
@@ -30,7 +32,7 @@ class TestTramConfig:
 
     def test_with_copies(self):
         cfg = TramConfig(buffer_items=64)
-        cfg2 = cfg.with_(buffer_items=128, idle_flush=True)
+        cfg2 = replace(cfg, buffer_items=128, idle_flush=True)
         assert cfg2.buffer_items == 128
         assert cfg2.idle_flush
         assert cfg.buffer_items == 64
