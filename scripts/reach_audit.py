@@ -20,7 +20,8 @@ Usage (run from a scratch directory: the runs write their usual files)::
 
 Forked pool workers are invisible to the profiler, so ``--parallel`` above
 1 is refused. A function that only a forked child would run is reported as
-never called.
+never called. An argument list the CLI's parser refuses is refused too,
+before anything runs.
 """
 
 from __future__ import annotations
@@ -71,13 +72,19 @@ def _last_line(co):
 
 def main(argv=None):
     import repro
+    from repro.errors import ConfigError
     from repro.harness.cli import _build_parser, main as cli_main
 
     runs = _split_runs(sys.argv[1:] if argv is None else argv)
     if not runs:
         raise SystemExit("usage: reach_audit.py -- ARGV... [-- ARGV...]")
     for run in runs:
-        if _build_parser().parse_args(run).parallel > 1:
+        try:
+            args = _build_parser().parse_args(run)
+        except ConfigError as exc:
+            raise SystemExit(f"refused: {' '.join(run)!r}: {exc}") from None
+        # Targets without pool flags (list, validate-metrics, ...) run serially.
+        if getattr(args, "parallel", 1) > 1:
             raise SystemExit(
                 f"refused: {' '.join(run)!r} uses --parallel above 1; the "
                 "profiler cannot see forked workers"
@@ -100,8 +107,6 @@ def main(argv=None):
         try:
             with contextlib.redirect_stdout(sys.stderr):
                 rc = cli_main(run)
-        except SystemExit as exc:  # argparse errors exit
-            rc = exc.code
         finally:
             sys.setprofile(None)
             threading.setprofile(None)

@@ -103,6 +103,10 @@ class FaultWindow:
 
 
 _PROB_FIELDS = ("drop", "dup", "corrupt", "reorder")
+_NUMERIC_FIELDS = _PROB_FIELDS + (
+    "reorder_max_ns", "crash_procs", "crash_t_min_ns", "crash_t_max_ns",
+    "crash_restart_after_ns",
+)
 
 
 @dataclass(frozen=True)
@@ -146,6 +150,10 @@ class FaultPlan:
     crash_restart_after_ns: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise FaultInjectionError(f"{name} must be finite, got {value}")
         for name in _PROB_FIELDS:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -210,10 +218,6 @@ class FaultPlan:
             "crash_t_max": "crash_t_max_ns",
             "crash_restart_after": "crash_restart_after_ns",
         }
-        known = _PROB_FIELDS + (
-            "reorder_max_ns", "crash_procs", "crash_t_min_ns",
-            "crash_t_max_ns", "crash_restart_after_ns",
-        )
         kwargs = {}
         for part in spec.split(","):
             part = part.strip()
@@ -221,7 +225,7 @@ class FaultPlan:
                 continue
             key, sep, value = part.partition("=")
             key = aliases.get(key.strip(), key.strip())
-            if not sep or key not in known:
+            if not sep or key not in _NUMERIC_FIELDS:
                 raise FaultInjectionError(
                     f"bad --faults entry {part!r}; use key=value with keys "
                     f"{', '.join(_PROB_FIELDS + tuple(aliases))}"

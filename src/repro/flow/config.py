@@ -9,6 +9,7 @@ produces the same admission decisions for the same event sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,6 +71,11 @@ class FlowConfig:
     max_stall_ns: float = 50_000.0
 
     def __post_init__(self) -> None:
+        for name in ("overload_backlog_ns", "clear_backlog_ns",
+                     "shed_backlog_ns", "max_stall_ns"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise FlowControlError(f"{name} must be finite, got {value!r}")
         for name in ("ct_max_msgs", "ct_max_bytes", "nic_max_msgs", "nic_max_bytes"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:

@@ -156,11 +156,8 @@ def render_timeline(tl: dict, *, width: int = _WIDTH) -> str:
     return "\n".join(parts)
 
 
-def run_timeline_plot(path: Optional[Path], out: Optional[Path] = None) -> int:
+def run_timeline_plot(path: Path, out: Optional[Path] = None) -> int:
     """CLI body: render every timeline-bearing run in an artifact."""
-    if path is None:
-        print("error: timeline-plot needs an artifact path", file=sys.stderr)
-        return 2
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:

@@ -38,8 +38,11 @@ purely instantaneous per-entity series (``ct.3.backlog_ns``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
+
+from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.system import RuntimeSystem
@@ -62,6 +65,16 @@ class TimelineConfig:
     #: recorded only when the machine has at most this many processes.
     max_dest_series: int = 32
 
+    def __post_init__(self) -> None:
+        if not 0 < self.cadence_ns < math.inf:
+            raise ConfigError(
+                f"timeline cadence must be finite and positive, got {self.cadence_ns}"
+            )
+        if self.capacity < 8:
+            raise ConfigError(
+                f"timeline capacity must be at least 8 samples, got {self.capacity}"
+            )
+
 
 class TimelineRecorder:
     """Periodic sampler attached to one runtime (``rt.timeline``).
@@ -76,9 +89,7 @@ class TimelineRecorder:
         self.rt = rt
         self.config = config
         self.cadence = float(config.cadence_ns)
-        if self.cadence <= 0:
-            raise ValueError(f"timeline cadence must be positive, got {self.cadence}")
-        self.capacity = max(8, int(config.capacity))
+        self.capacity = int(config.capacity)
         #: Current sampling stride in cadence units (doubles on overflow).
         self.stride = 1
         self.decimations = 0

@@ -71,6 +71,7 @@ from repro.sim.queue import EventQueue
 
 _heappush = heappush
 _heappop = heappop
+_INF = float("inf")
 
 
 @dataclass
@@ -165,11 +166,13 @@ class Engine:
         Raises
         ------
         SchedulingError
-            If ``time`` is in the past (strictly before ``now``).
+            If ``time`` is in the past (strictly before ``now``) or is
+            not finite.
         """
-        if time < self.now:
+        if not self.now <= time < _INF:
             raise SchedulingError(
-                f"cannot schedule at t={time} (now={self.now}): time is in the past"
+                f"cannot schedule at t={time} (now={self.now}): want a "
+                f"finite time no earlier than now"
             )
         cur = self.current_owner
         seqs = self._owner_seq
@@ -180,9 +183,10 @@ class Engine:
         return ev
 
     def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> list:
-        """Schedule ``fn(*args)`` ``delay`` ns from the current time."""
-        if delay < 0:
-            raise SchedulingError(f"negative delay {delay}")
+        """Schedule ``fn(*args)`` ``delay`` ns from the current time; the
+        delay must be finite and non-negative."""
+        if not 0 <= delay < _INF:
+            raise SchedulingError(f"bad delay {delay}: want finite and >= 0")
         cur = self.current_owner
         seqs = self._owner_seq
         oseq = seqs[cur]
@@ -192,8 +196,8 @@ class Engine:
         return ev
 
     def call_at(self, time: float, fn: Callable[..., Any], args: tuple = ()) -> None:
-        """No-handle fast path: like :meth:`at` but skips the past-time
-        check (callers pass times derived from ``now`` plus non-negative
+        """No-handle fast path: like :meth:`at` but skips the time check
+        (callers pass times derived from ``now`` plus finite non-negative
         costs) and returns nothing. Use for internal fire-and-forget
         scheduling on hot paths; anything that might be cancelled needs
         :meth:`at` or :meth:`timer_at`."""
@@ -206,8 +210,8 @@ class Engine:
         )
 
     def call_after(self, delay: float, fn: Callable[..., Any], args: tuple = ()) -> None:
-        """No-handle fast path twin of :meth:`after` (delay must be >= 0,
-        unchecked)."""
+        """No-handle fast path twin of :meth:`after` (delay must be finite
+        and >= 0, unchecked)."""
         cur = self.current_owner
         seqs = self._owner_seq
         oseq = seqs[cur]
@@ -263,9 +267,10 @@ class Engine:
         are merged in exact ``(time, seq)`` order — but the event waits
         in the timer queue, so parked timeouts never deepen the main
         heap."""
-        if time < self.now:
+        if not self.now <= time < _INF:
             raise SchedulingError(
-                f"cannot schedule at t={time} (now={self.now}): time is in the past"
+                f"cannot schedule at t={time} (now={self.now}): want a "
+                f"finite time no earlier than now"
             )
         cur = self.current_owner
         seqs = self._owner_seq
@@ -276,9 +281,10 @@ class Engine:
         return ev
 
     def timer_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> list:
-        """Arm a timeout ``delay`` ns from now (see :meth:`timer_at`)."""
-        if delay < 0:
-            raise SchedulingError(f"negative delay {delay}")
+        """Arm a timeout ``delay`` ns from now (see :meth:`timer_at` and
+        :meth:`after`)."""
+        if not 0 <= delay < _INF:
+            raise SchedulingError(f"bad delay {delay}: want finite and >= 0")
         cur = self.current_owner
         seqs = self._owner_seq
         oseq = seqs[cur]
@@ -396,7 +402,7 @@ class Engine:
         sampler = self.sampler
         mod = self._owner_mod
         nown = self._n_owners
-        limit = float("inf") if until is None else until
+        limit = _INF if until is None else until
         stop = limit if sampler is None else min(limit, sampler.next_due)
         fired = 0
         while fired != cap:
@@ -445,18 +451,6 @@ class Engine:
                 stats.horizon_reached = True
         stats.events_fired = fired
         stats.last_event_time = self.now
-        if stats.horizon_reached and self.now < until:
+        if stats.horizon_reached and until is not None and self.now < until:
             # A deferred event exists; park the clock at the horizon.
             self.now = until
-
-    def reset(self) -> None:
-        """Clear the queue and rewind the clock (for test reuse)."""
-        if self._running:
-            raise SimulationError("cannot reset a running engine")
-        self._queue = EventQueue()
-        self._heap = self._queue._heap
-        self._timers = EventQueue()
-        self._theap = self._timers._heap
-        self.now = 0.0
-        self._owner_seq = [0] * self._n_slots
-        self.current_owner = 0

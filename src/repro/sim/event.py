@@ -36,10 +36,6 @@ the corpse; the queues discard dead events when they reach the head
 (or during compaction). This keeps cancellation O(1) amortized.
 """
 
-from __future__ import annotations
-
-from typing import Any, Callable, List
-
 # Slot indices of an event list.
 EV_TIME = 0
 EV_SEQ = 1
@@ -52,21 +48,3 @@ ST_CANCELLED = 0
 ST_PENDING = 1
 ST_CONSUMED = 2
 ST_TIMER = 3
-
-_STATE_NAMES = ("cancelled", "pending", "fired", "timer")
-
-
-def Event(time: float, seq: int, fn: Callable[..., Any], args: tuple = ()) -> list:
-    """Build an event list in the heap-pending state.
-
-    Kept as a factory with the old class's constructor signature so
-    callers and tests that build events directly keep working.
-    """
-    return [time, seq, ST_PENDING, fn, args]
-
-
-def describe(ev: List) -> str:
-    """Debugging aid: a readable rendering of an event list."""
-    name = getattr(ev[EV_FN], "__qualname__", repr(ev[EV_FN]))
-    state = _STATE_NAMES[ev[EV_STATE]]
-    return f"<Event t={ev[EV_TIME]:.1f} seq={ev[EV_SEQ]} fn={name} ({state})>"

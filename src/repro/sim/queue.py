@@ -1,10 +1,13 @@
 """Binary-heap event queue with stable ordering, lazy deletion, and
 corpse auto-compaction.
 
-A thin wrapper over :mod:`heapq`. The engine owns two: the main queue
-and the timer queue. It exists as its own module so the
-ordering/lazy-deletion invariants can be unit- and property-tested in
-isolation (see ``tests/sim/test_queue.py``).
+A thin wrapper over a :mod:`heapq` list. The engine owns two, the main
+queue and the timer queue, and pushes and pops their heap lists
+directly on its hot paths; the queue owns what needs bookkeeping:
+cancellation, the skim of dead heads in :meth:`EventQueue.peek`, and
+compaction. It exists as its own module so the ordering/lazy-deletion
+invariants can be unit- and property-tested in isolation (see
+``tests/sim/test_queue.py``).
 
 Events are the plain lists of :mod:`repro.sim.event`; the heap orders
 them by their leading ``(time, seq)`` slots entirely in C. Liveness is
@@ -21,13 +24,10 @@ again.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop
 from typing import Optional
 
 from repro.sim.event import EV_STATE, EV_TIME, ST_CANCELLED
-
-_heappush = heappush
-_heappop = heappop
 
 
 class EventQueue:
@@ -47,10 +47,6 @@ class EventQueue:
         #: Auto-compaction floor: never rebuild for fewer corpses.
         self.compact_min = compact_min
 
-    def push(self, event: list) -> None:
-        """Insert a live event. O(log n)."""
-        _heappush(self._heap, event)
-
     def cancel(self, event: list) -> bool:
         """Cancel an event that lives in this heap. O(1) amortized.
 
@@ -66,19 +62,6 @@ class EventQueue:
             self.compact()
         return True
 
-    def pop(self) -> Optional[list]:
-        """Remove and return the earliest *live* event, or ``None``.
-
-        Cancelled events encountered at the head are discarded.
-        """
-        heap = self._heap
-        while heap:
-            ev = _heappop(heap)
-            if ev[EV_STATE]:
-                return ev
-            self._corpses -= 1
-        return None
-
     def peek(self) -> Optional[list]:
         """The earliest live event without removing it, or ``None``.
 
@@ -89,7 +72,7 @@ class EventQueue:
             ev = heap[0]
             if ev[EV_STATE]:
                 return ev
-            _heappop(heap)
+            heappop(heap)
             self._corpses -= 1
         return None
 
@@ -121,8 +104,3 @@ class EventQueue:
         heap[:] = [ev for ev in heap if ev[EV_STATE]]
         heapify(heap)
         self._corpses = 0
-
-    @property
-    def raw_size(self) -> int:
-        """Total heap entries including cancelled corpses (for tests)."""
-        return len(self._heap)

@@ -46,18 +46,3 @@ def fmt_time(ns: float) -> str:
         if mag >= scale:
             return f"{sign}{mag / scale:.3f}{suffix}"
     return f"{sign}{mag:.3f}ns"
-
-
-def to_us(ns: float) -> float:
-    """Convert nanoseconds to microseconds."""
-    return ns / US
-
-
-def to_ms(ns: float) -> float:
-    """Convert nanoseconds to milliseconds."""
-    return ns / MS
-
-
-def to_seconds(ns: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return ns / SEC

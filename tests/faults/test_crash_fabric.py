@@ -250,16 +250,17 @@ class TestCrashTargets:
     """Only extB honours crash keys; the rest refuse them or fail loudly."""
 
     @pytest.mark.parametrize("argv", [
-        ["fig14"],
-        ["all"],
-        ["extC"],
+        ["fig14", "--profile", "quick"],
+        ["all", "--profile", "quick"],
+        ["extC", "--profile", "quick"],
+        # sweep has no --profile: its parser would refuse that first.
         ["sweep", "--app", "histogram", "--axes", "nodes=1,2"],
     ], ids=lambda argv: argv[0])
     def test_target_refuses_crash_keys(self, argv, tmp_path, monkeypatch, capsys):
         from repro.harness.cli import main
 
         monkeypatch.chdir(tmp_path)
-        assert main(argv + ["--profile", "quick", "--faults", CRASH_SPEC]) == 2
+        assert main(argv + ["--faults", CRASH_SPEC]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "extB" in err

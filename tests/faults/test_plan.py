@@ -69,6 +69,15 @@ class TestFaultPlan:
         with pytest.raises(FaultInjectionError):
             FaultPlan(reorder_max_ns=0.0)
 
+    @pytest.mark.parametrize("name", [
+        "drop", "dup", "corrupt", "reorder", "reorder_max_ns", "crash_procs",
+        "crash_t_min_ns", "crash_t_max_ns", "crash_restart_after_ns",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers_rejected(self, name, value):
+        with pytest.raises(FaultInjectionError, match="finite"):
+            FaultPlan(**{name: value})
+
     def test_with_window_appends(self):
         base = FaultPlan(drop=0.1)
         w1 = FaultWindow(0.0, 1.0, "drop")

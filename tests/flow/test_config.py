@@ -36,6 +36,16 @@ class TestValidation:
         with pytest.raises(FlowControlError):
             FlowConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", [
+        "overload_backlog_ns", "clear_backlog_ns", "shed_backlog_ns",
+        "max_stall_ns", "ct_max_msgs", "ct_max_bytes", "nic_max_msgs",
+        "nic_max_bytes", "max_parked_per_dest",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers_rejected(self, name, value):
+        with pytest.raises(FlowControlError):
+            FlowConfig(**{name: value})
+
     def test_flow_error_is_config_error(self):
         with pytest.raises(ConfigError):
             FlowConfig(ct_max_msgs=0)

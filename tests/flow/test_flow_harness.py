@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.flow import FlowConfig
+from repro.harness.figures import FIGURES
 from repro.machine import MachineConfig
 from repro.obs import ObsConfig
 from repro.obs.registry import registry_from_runtime
@@ -152,6 +153,34 @@ class TestRunFigure:
         assert data.fig_id == "fig3"
 
 
+#: Stands for a valid artifact with timeline blocks (the
+#: ``reader_artifact`` fixture), so a reader target given it would
+#: otherwise succeed.
+ARTIFACT = "<artifact>"
+
+#: The grid flags only ``sweep`` takes.
+SWEEP_GRID = (["--app", "histogram"], ["--axes", "nodes=2"], ["--fixed", "a=1"],
+              ["--seeds", "3"], ["--metric", "foo"])
+
+
+@pytest.fixture(scope="module")
+def reader_artifact(tmp_path_factory):
+    from repro.harness.cli import main
+
+    path = tmp_path_factory.mktemp("reader") / "timeline.json"
+    assert main(["fig1", "--profile", "quick", "--timeline",
+                 "--metrics-out", str(path)]) == 0
+    return path
+
+
+def assert_refused(capsys, tmp_path, flag):
+    """One ``error:`` line naming ``flag``, no traceback, nothing written."""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert flag in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestCli:
     def test_bad_flow_spec_rejected_early(self, capsys):
         from repro.harness.cli import main
@@ -196,16 +225,70 @@ class TestCli:
         ["sweep", "--timeline-cadence", "1000", "--app", "pingack",
          "--axes", "nodes=2", "--no-cache"],
         ["list", "--timeline-capacity", "64"],
+    ] + [
+        # The reader targets take no profile, pool or grid flag, and
+        # only timeline-plot takes --out.
+        [target, *path, *flag]
+        for target, path in (("list", ()), ("validate-metrics", (ARTIFACT,)),
+                             ("timeline-plot", (ARTIFACT,)))
+        for flag in (["--profile", "quick"], ["--out", "out"],
+                     ["--parallel", "2"], ["--cache-dir", "cache"],
+                     ["--no-cache"], ["--fresh"], *SWEEP_GRID)
+        if (target, flag[0]) != ("timeline-plot", "--out")
+    ] + [
+        [target, *flag, "--profile", "quick"]
+        for target in (*FIGURES, "all", "validate", "report")
+        for flag in SWEEP_GRID
+    ] + [
+        ["sweep", "--profile", "quick", "--app", "pingack", "--axes",
+         "nodes=2", "--no-cache"],
+        ["validate", "--out", "out", "--profile", "quick"],
     ])
-    def test_dropped_flag_refused(self, argv, tmp_path, monkeypatch, capsys):
+    def test_dropped_flag_refused(self, argv, tmp_path, monkeypatch, capsys,
+                                  reader_artifact):
         from repro.harness.cli import main
 
         monkeypatch.chdir(tmp_path)
+        argv = [str(reader_artifact) if a == ARTIFACT else a for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert next(a for a in argv if a.startswith("--")) in err
         assert list(tmp_path.iterdir()) == []  # refused before running
+
+    @pytest.mark.parametrize("target", [*FIGURES, "all"])
+    def test_stray_positional_refused(self, target, tmp_path, monkeypatch,
+                                      capsys):
+        from repro.harness.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main([target, "stray.json", "--profile", "quick"]) == 2
+        assert_refused(capsys, tmp_path, "stray.json")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["extB", "--faults", "crash_procs=1,crash_t_min=5000,"
+          "crash_t_max=40000,crash_restart_after=inf"], "must be finite"),
+        (["extB", "--faults", "crash_procs=1,crash_t_min=5000,crash_t_max=inf"],
+         "must be finite"),
+        (["fig3", "--faults", "reorder=0.1,reorder_max=inf"], "must be finite"),
+        (["fig3", "--faults", "reorder=0.1,reorder_max=nan"], "must be finite"),
+        (["fig3", "--flow", "stall_max=nan"], "must be finite"),
+        (["fig3", "--flow", "shed=nan"], "must be finite"),
+        (["fig3", "--flow", "overload=inf"], "must be finite"),
+        (["fig12", "--timeline", "--timeline-cadence", "-5"], "cadence"),
+        (["fig3", "--timeline", "--timeline-cadence", "0"], "cadence"),
+        (["fig3", "--timeline", "--timeline-cadence", "nan"], "cadence"),
+        (["fig3", "--timeline", "--timeline-cadence", "inf"], "cadence"),
+        (["fig3", "--timeline", "--timeline-capacity", "0"], "capacity"),
+        (["fig3", "--timeline", "--timeline-capacity", "7"], "capacity"),
+    ])
+    def test_unusable_value_refused(self, argv, message, tmp_path, monkeypatch,
+                                    capsys):
+        from repro.harness.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--profile", "quick", "--metrics-out", "m.json"]) == 2
+        assert_refused(capsys, tmp_path, message)
 
     def test_timeline_shape_defaults_resolve_as_before(self):
         from repro.harness.cli import _build_parser, _run_options

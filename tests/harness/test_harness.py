@@ -147,6 +147,13 @@ class TestCli:
     def test_unknown_target(self, capsys):
         assert main(["fig99"]) == 2
 
+    @pytest.mark.parametrize("argv", [["-h"], ["sweep", "-h"], ["list", "-h"]])
+    def test_help_still_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tramlib-repro")
+
 
 class TestReport:
     def test_write_report_selected_figures(self, tmp_path):

@@ -512,13 +512,25 @@ class TestSweepCli:
         assert rc == 2
 
     @pytest.mark.parametrize("flag", [
+        ["--parallel", "-3"], ["--parallel", "0"], ["--parallel", "two"],
+        ["--max-points", "-1"],
+    ])
+    def test_pool_flag_values_refused(self, flag, tmp_path, monkeypatch,
+                                      capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = self.ARGS + ["--no-cache", *flag, "--metrics-out", "p.json"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"argument {flag[0]}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", [
         ["--retries", "1"], ["--point-timeout", "5"], ["--status"],
         ["--status-json", "status.json"],
     ])
     def test_removed_supervision_flags_rejected(self, flag, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(self.ARGS + ["--no-cache"] + flag)
-        assert exc.value.code == 2
+        assert cli.main(self.ARGS + ["--no-cache"] + flag) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
 

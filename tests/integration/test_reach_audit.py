@@ -61,3 +61,11 @@ class TestReachAudit:
         assert "refused:" in proc.stderr and "--parallel" in proc.stderr
         assert proc.stdout == ""
         assert "reach_audit: repro" not in proc.stderr  # nothing ran
+
+    def test_argv_the_cli_refuses_is_refused_before_running(self, tmp_path):
+        proc = run_audit(tmp_path, "--", "list", "--", "list", "--parallel", "2")
+        assert proc.returncode == 1
+        assert "refused:" in proc.stderr
+        assert "unrecognized arguments: --parallel 2" in proc.stderr
+        assert proc.stdout == ""
+        assert "reach_audit: repro" not in proc.stderr  # nothing ran

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
 from repro.flow import FlowConfig
 from repro.machine import MachineConfig
 from repro.obs import ObsConfig, TimelineConfig
@@ -132,6 +133,18 @@ class TestSampling:
             rt.run()
             payloads.append(json.dumps(rt.timeline.to_dict(), sort_keys=True))
         assert payloads[0] == payloads[1]
+
+
+class TestShape:
+    @pytest.mark.parametrize("cadence", [0.0, -5.0, float("nan"), float("inf")])
+    def test_cadence_must_be_finite_and_positive(self, cadence):
+        with pytest.raises(ConfigError, match="cadence"):
+            TimelineConfig(cadence_ns=cadence)
+
+    @pytest.mark.parametrize("capacity", [-1, 0, 7])
+    def test_capacity_below_eight_rejected(self, capacity):
+        with pytest.raises(ConfigError, match="capacity"):
+            TimelineConfig(capacity=capacity)
 
 
 class TestDecimation:

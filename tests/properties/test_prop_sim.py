@@ -1,6 +1,7 @@
 """Property-based tests for the DES substrate."""
 
 from dataclasses import asdict
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,25 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.event import EV_SEQ, EV_TIME, Event
+from repro.sim.event import EV_SEQ, EV_TIME, ST_PENDING
 from repro.sim.queue import EventQueue
 
 times = st.floats(min_value=0.0, max_value=1e9, allow_nan=False,
                   allow_infinity=False)
+
+
+def _event(t, seq):
+    return [t, seq, ST_PENDING, lambda: None, ()]
+
+
+def _drain(q):
+    """Pop every live event the way the engine does: ``peek`` skims the
+    dead head, ``heappop`` takes the live one."""
+    popped = []
+    while q:
+        popped.append(q.peek())
+        heappop(q._heap)
+    return popped
 
 
 class TestQueueProperties:
@@ -20,11 +35,8 @@ class TestQueueProperties:
     def test_pop_order_matches_sorted(self, ts):
         q = EventQueue()
         for i, t in enumerate(ts):
-            q.push(Event(t, i, lambda: None, ()))
-        popped = []
-        while q:
-            popped.append(q.pop()[EV_TIME])
-        assert popped == sorted(ts)
+            heappush(q._heap, _event(t, i))
+        assert [e[EV_TIME] for e in _drain(q)] == sorted(ts)
 
     @given(
         st.lists(times, min_size=1, max_size=100),
@@ -32,9 +44,9 @@ class TestQueueProperties:
     )
     def test_cancellation_preserves_remaining_order(self, ts, data):
         q = EventQueue(compact_min=8)  # low floor: exercise auto-compaction
-        events = [Event(t, i, lambda: None, ()) for i, t in enumerate(ts)]
+        events = [_event(t, i) for i, t in enumerate(ts)]
         for e in events:
-            q.push(e)
+            heappush(q._heap, e)
         to_cancel = data.draw(
             st.sets(st.integers(0, len(events) - 1), max_size=len(events))
         )
@@ -45,10 +57,7 @@ class TestQueueProperties:
             for i, e in enumerate(events)
             if i not in to_cancel
         )
-        popped = []
-        while q:
-            e = q.pop()
-            popped.append((e[EV_TIME], e[EV_SEQ]))
+        popped = [(e[EV_TIME], e[EV_SEQ]) for e in _drain(q)]
         assert popped == survivors
 
     @given(st.lists(st.tuples(times, times), min_size=1, max_size=50))

@@ -123,14 +123,6 @@ class TestRunControl:
         eng.run()
         assert "e" in err
 
-    def test_reset(self):
-        eng = Engine()
-        eng.after(5.0, lambda: None)
-        eng.run()
-        eng.reset()
-        assert eng.now == 0.0
-        assert eng.pending == 0
-
     def test_empty_run(self):
         stats = Engine().run()
         assert stats.events_fired == 0

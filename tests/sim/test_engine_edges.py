@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SchedulingError, SimulationError
 from repro.sim.engine import Engine
 from repro.sim.queue import EventQueue
 
@@ -242,10 +242,10 @@ class TestTimerQueueCompaction:
             arm(tag, float(100 + (tag * 37) % 400), timer=tag % 3 != 0)
         eng.current_owner = 0
         timer_tags = [tag for tag in handles if tag % 3]
-        raw = eng._timers.raw_size
+        raw = len(eng._theap)
         cancel(timer_tags[::2])
         assert len(cancelled) > EventQueue().compact_min
-        assert eng._timers.raw_size < raw  # compaction ran
+        assert len(eng._theap) < raw  # compaction ran
         assert eng._theap is eng._timers._heap
         assert eng.pending == len(live())
 
@@ -261,9 +261,9 @@ class TestTimerQueueCompaction:
         for tag in range(1500, 2100):
             arm(tag, float(300 + tag % 200), timer=True)
         eng.current_owner = 0
-        raw = eng._timers.raw_size
+        raw = len(eng._theap)
         cancel(range(1500, 2100))
-        assert eng._timers.raw_size < raw
+        assert len(eng._theap) < raw
         cancel([deferred])
         assert eng.pending == len(live())
 
@@ -358,3 +358,54 @@ class TestMaxEvents:
     def test_negative_bound_rejected(self):
         with pytest.raises(SimulationError, match="max_events"):
             Engine().run(max_events=-1)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteTimes:
+    """A NaN or infinite time or delay is refused where it is scheduled:
+    queued, a NaN would fire and set ``now`` to NaN, and an infinite
+    time would sit past every horizon."""
+
+    @pytest.mark.parametrize("method", ["at", "timer_at"])
+    @pytest.mark.parametrize("time", NON_FINITE)
+    def test_absolute_time_refused(self, method, time):
+        eng = Engine(now=5.0)
+        with pytest.raises(SchedulingError):
+            getattr(eng, method)(time, lambda: None)
+        assert eng.pending == 0
+        assert eng.run().events_fired == 0 and eng.now == 5.0
+
+    @pytest.mark.parametrize("method", ["after", "timer_after"])
+    @pytest.mark.parametrize("delay", NON_FINITE)
+    def test_delay_refused(self, method, delay):
+        eng = Engine(now=5.0)
+        with pytest.raises(SchedulingError):
+            getattr(eng, method)(delay, lambda: None)
+        assert eng.pending == 0
+        assert eng.run().events_fired == 0 and eng.now == 5.0
+
+    def test_finite_edges_still_accepted(self):
+        eng = Engine(now=5.0)
+        fired = []
+        eng.at(5.0, fired.append, "at now")
+        eng.timer_at(5.0, fired.append, "timer now")
+        eng.after(0.0, fired.append, "after 0")
+        eng.timer_after(1e300, fired.append, "timer far")
+        eng.run()
+        assert fired == ["at now", "timer now", "after 0", "timer far"]
+        assert eng.now == 5.0 + 1e300
+
+    def test_unbounded_run_leaves_the_clock_at_its_last_event(self):
+        """``call_at`` stays unchecked, so an event at t=inf can still be
+        queued; a run without ``until`` then stops before it without
+        parking the clock at a horizon it does not have."""
+        eng = Engine()
+        fired = []
+        eng.call_at(3.0, fired.append, (3.0,))
+        eng.call_at(float("inf"), fired.append, ("never",))
+        stats = eng.run()
+        assert fired == [3.0]
+        assert eng.now == stats.end_time == stats.last_event_time == 3.0
+        assert eng.pending == 1

@@ -1,37 +1,54 @@
-"""Unit tests for the event queue (ordering, lazy deletion, compaction)."""
+"""Unit tests for the event queue (ordering, lazy deletion, compaction).
 
-import pytest
+The engine pushes onto and pops from a queue's heap list directly and
+leaves dead heads to :meth:`EventQueue.peek`; ``push`` and ``pop`` below
+do the same.
+"""
 
-from repro.sim.event import EV_SEQ, EV_STATE, EV_TIME, Event, describe
+from heapq import heappop, heappush
+
+from repro.sim.event import EV_SEQ, EV_STATE, EV_TIME, ST_PENDING
 from repro.sim.queue import EventQueue
 
 
 def ev(time, seq):
-    return Event(time, seq, lambda: None, ())
+    return [time, seq, ST_PENDING, lambda: None, ()]
+
+
+def push(q, event):
+    heappush(q._heap, event)
+
+
+def pop(q):
+    """The earliest live event, removed; ``None`` when none is left."""
+    event = q.peek()
+    if event is not None:
+        heappop(q._heap)
+    return event
 
 
 class TestOrdering:
     def test_pops_in_time_order(self):
         q = EventQueue()
         for t in (5.0, 1.0, 3.0, 2.0, 4.0):
-            q.push(ev(t, int(t)))
-        times = [q.pop()[EV_TIME] for _ in range(5)]
+            push(q, ev(t, int(t)))
+        times = [pop(q)[EV_TIME] for _ in range(5)]
         assert times == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_ties_broken_by_seq_fifo(self):
         q = EventQueue()
         for seq in (0, 1, 2):
-            q.push(ev(7.0, seq))
-        seqs = [q.pop()[EV_SEQ] for _ in range(3)]
+            push(q, ev(7.0, seq))
+        seqs = [pop(q)[EV_SEQ] for _ in range(3)]
         assert seqs == [0, 1, 2]
 
     def test_pop_empty_returns_none(self):
-        assert EventQueue().pop() is None
+        assert pop(EventQueue()) is None
 
     def test_peek_returns_earliest_time_without_removing(self):
         q = EventQueue()
-        q.push(ev(9.0, 0))
-        q.push(ev(2.0, 1))
+        push(q, ev(9.0, 0))
+        push(q, ev(2.0, 1))
         assert q.peek_time() == 2.0
         assert len(q) == 2
 
@@ -43,17 +60,17 @@ class TestCancellation:
     def test_cancelled_event_is_skipped(self):
         q = EventQueue()
         first = ev(1.0, 0)
-        q.push(first)
-        q.push(ev(2.0, 1))
+        push(q, first)
+        push(q, ev(2.0, 1))
         assert q.cancel(first)
-        popped = q.pop()
+        popped = pop(q)
         assert popped[EV_TIME] == 2.0
 
     def test_live_count_tracks_cancellation(self):
         q = EventQueue()
         a, b = ev(1.0, 0), ev(2.0, 1)
-        q.push(a)
-        q.push(b)
+        push(q, a)
+        push(q, b)
         assert q.live_count == 2
         q.cancel(a)
         assert q.live_count == 1
@@ -62,7 +79,7 @@ class TestCancellation:
     def test_double_cancel_reports_false(self):
         q = EventQueue()
         a = ev(1.0, 0)
-        q.push(a)
+        push(q, a)
         assert q.cancel(a)
         assert not q.cancel(a)
         assert q.live_count == 0
@@ -70,8 +87,8 @@ class TestCancellation:
     def test_peek_discards_dead_heads(self):
         q = EventQueue()
         a = ev(1.0, 0)
-        q.push(a)
-        q.push(ev(5.0, 1))
+        push(q, a)
+        push(q, ev(5.0, 1))
         q.cancel(a)
         assert q.peek_time() == 5.0
 
@@ -79,22 +96,22 @@ class TestCancellation:
         q = EventQueue()
         events = [ev(float(i), i) for i in range(10)]
         for e in events:
-            q.push(e)
+            push(q, e)
         for e in events[:5]:
             q.cancel(e)
-        assert q.raw_size == 10
+        assert len(q._heap) == 10
         q.compact()
-        assert q.raw_size == 5
+        assert len(q._heap) == 5
         assert q.live_count == 5
-        assert q.pop()[EV_TIME] == 5.0
+        assert pop(q)[EV_TIME] == 5.0
 
     def test_all_cancelled_means_empty(self):
         q = EventQueue()
         a = ev(1.0, 0)
-        q.push(a)
+        push(q, a)
         q.cancel(a)
         assert not q
-        assert q.pop() is None
+        assert pop(q) is None
 
 
 class TestAutoCompaction:
@@ -102,33 +119,33 @@ class TestAutoCompaction:
         q = EventQueue(compact_min=16)
         events = [ev(float(i), i) for i in range(32)]
         for e in events:
-            q.push(e)
+            push(q, e)
         # Cancel 15: below compact_min, no rebuild yet.
         for e in events[:15]:
             q.cancel(e)
-        assert q.raw_size == 32
+        assert len(q._heap) == 32
         # The 16th cancel reaches compact_min AND half the heap.
         q.cancel(events[15])
-        assert q.raw_size == 16
+        assert len(q._heap) == 16
         assert q.live_count == 16
-        assert q.pop()[EV_TIME] == 16.0
+        assert pop(q)[EV_TIME] == 16.0
 
     def test_respects_compact_min_floor(self):
         q = EventQueue(compact_min=256)
         events = [ev(float(i), i) for i in range(10)]
         for e in events:
-            q.push(e)
+            push(q, e)
         for e in events:
             q.cancel(e)
         # All corpses, but far below the floor: no rebuild.
-        assert q.raw_size == 10
+        assert len(q._heap) == 10
         assert q.live_count == 0
 
     def test_order_preserved_across_auto_compaction(self):
         q = EventQueue(compact_min=8)
         events = [ev(float(i % 5), i) for i in range(64)]
         for e in events:
-            q.push(e)
+            push(q, e)
         cancelled = set(range(0, 64, 2))
         for i in cancelled:
             q.cancel(events[i])
@@ -138,7 +155,7 @@ class TestAutoCompaction:
         )
         popped = []
         while q:
-            e = q.pop()
+            e = pop(q)
             popped.append((e[EV_TIME], e[EV_SEQ]))
         assert popped == expected
 
@@ -152,10 +169,7 @@ class TestEventRepresentation:
     def test_cancel_clears_state(self):
         q = EventQueue()
         e = ev(1.0, 0)
-        q.push(e)
+        push(q, e)
         assert e[EV_STATE]
         q.cancel(e)
         assert not e[EV_STATE]
-
-    def test_describe(self):
-        assert "seq=0" in describe(ev(1.0, 0))

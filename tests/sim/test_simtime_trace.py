@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.simtime import MS, NS, SEC, US, fmt_time, to_ms, to_seconds, to_us
+from repro.sim.simtime import MS, NS, SEC, US, fmt_time
 
 
 class TestUnits:
@@ -10,11 +10,6 @@ class TestUnits:
         assert US == 1000 * NS
         assert MS == 1000 * US
         assert SEC == 1000 * MS
-
-    def test_conversions(self):
-        assert to_us(1500.0) == 1.5
-        assert to_ms(2_500_000.0) == 2.5
-        assert to_seconds(SEC) == 1.0
 
 
 class TestFmtTime:
