@@ -216,6 +216,17 @@ def _coerce(text: str):
     return text
 
 
+def _distinct(what: str, values: list) -> list:
+    """``values`` if it is non-empty and repeats nothing; a sweep would
+    otherwise run no point or run one point twice."""
+    if not values:
+        raise argparse.ArgumentTypeError(f"{what} has no values")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise argparse.ArgumentTypeError(f"{what} repeats {value!r}")
+    return values
+
+
 def _parse_axes(spec: str) -> dict:
     axes = {}
     for part in spec.split(";"):
@@ -227,7 +238,13 @@ def _parse_axes(spec: str) -> dict:
                 f"bad axis {part!r} (want name=v1,v2,...)"
             )
         name, values = part.split("=", 1)
-        axes[name.strip()] = [_coerce(v.strip()) for v in values.split(",") if v.strip()]
+        name = name.strip()
+        if name in axes:
+            raise argparse.ArgumentTypeError(f"axis {name!r} is given twice")
+        axes[name] = _distinct(
+            f"axis {name!r}",
+            [_coerce(v.strip()) for v in values.split(",") if v.strip()],
+        )
     if not axes:
         raise argparse.ArgumentTypeError("no axes given")
     return axes
@@ -244,17 +261,21 @@ def _parse_fixed(spec: str) -> dict:
                 f"bad parameter {part!r} (want name=value)"
             )
         name, value = part.split("=", 1)
-        fixed[name.strip()] = _coerce(value.strip())
+        name = name.strip()
+        if name in fixed:
+            raise argparse.ArgumentTypeError(f"parameter {name!r} is given twice")
+        fixed[name] = _coerce(value.strip())
     return fixed
 
 
 def _parse_seeds(spec: str) -> List[int]:
     try:
-        return [int(s) for s in spec.split(",") if s.strip()]
+        seeds = [int(s) for s in spec.split(",") if s.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad seed list {spec!r} (want integers, e.g. 0,1,2)"
         ) from None
+    return _distinct("the seed list", seeds)
 
 
 # ----------------------------------------------------------------------
@@ -345,6 +366,13 @@ def _run_sweep_cmd(args, options: RunOptions, pool: PoolConfig) -> int:
     from repro.harness.pool import SweepInterrupted, run_app_point
     from repro.harness.sweep import run_sweep
 
+    swept = sorted(args.fixed.keys() & args.axes.keys())
+    if swept:
+        # The axis would win, yet the fixed value would still enter the
+        # cache tag.
+        print(f"error: --fixed sets {', '.join(swept)}, which --axes sweeps",
+              file=sys.stderr)
+        return 2
     fn = functools.partial(run_app_point, args.app, args.metric, **args.fixed)
     # The fixed parameters are folded into the cache tag (they are not
     # part of the per-point params), so differently-pinned sweeps never

@@ -59,11 +59,6 @@ class ItemBuffer:
         self._items: List[Item] = []
         self._head = 0
 
-    @property
-    def items(self) -> List[Item]:
-        """The buffered items, oldest first (the live slice)."""
-        return self._items[self._head:] if self._head else self._items
-
     def add(self, item: Item) -> bool:
         """Append an item; return True when the buffer reached capacity."""
         self._items.append(item)

@@ -1,6 +1,8 @@
 """TramLib aggregation schemes.
 
-The four schemes of the paper (§III-B) plus the no-aggregation baseline:
+The four schemes of the paper (§III-B), the no-aggregation baseline,
+the two node-level extensions the paper defers and the original TRAM's
+2D routing:
 
 * :class:`~repro.tram.schemes.ww.WWScheme` — per source *worker*, one
   buffer per destination *worker* (SMP-unaware).
@@ -14,6 +16,14 @@ The four schemes of the paper (§III-B) plus the no-aggregation baseline:
   workers through atomics.
 * :class:`~repro.tram.schemes.direct.DirectScheme` — every item is its
   own message (baseline).
+* :class:`~repro.tram.schemes.node_level.WNsScheme` — per source worker,
+  one buffer per destination *node*; the receiving process forwards
+  its siblings' sections within the node.
+* :class:`~repro.tram.schemes.node_level.NNScheme` — like WNs, but one
+  *node-shared* buffer per destination node, filled through atomics.
+* :class:`~repro.tram.schemes.routed2d.Routed2DScheme` — "R2D": buffers
+  keyed by the next hop on a 2D process grid; intermediates re-buffer
+  and forward.
 
 Use :func:`make_scheme` (re-exported as :func:`repro.tram.make_scheme`)
 to construct one by name.

@@ -1,25 +1,30 @@
 """Shared machinery of all aggregation schemes.
 
-The base class owns everything that is identical across schemes —
+The base class owns every job that is identical across schemes: buffer
+lookup with its mode check, the flush walk over a scheme's buffer
+tables, message emission (the one place a ``NetMessage`` is built),
 destination-side processing (grouping, section fan-out, delivery,
-latency accounting), local-bypass of intra-process items, flush
-plumbing (explicit, idle-hook, priority), message emission with
-resizing, and statistics — so each concrete scheme only decides *where
-buffers live* and *how inserts find them* (the actual design axis the
-paper studies).
+latency accounting), local bypass of intra-process items, the flush
+plumbing (explicit, idle-hook, priority) and statistics. A concrete
+scheme only decides *where buffers live* and *how inserts find them*
+(the design axis the paper studies), plus its own mechanism: PP/NN's
+coordinated flush, WsP's source grouping, WNs/NN's node hop and R2D's
+routing. docs/architecture.md ("Anatomy of a scheme") lists the hooks.
 
-Handler wiring: each scheme instance registers two message kinds under a
-unique namespace — ``<ns>.w`` for worker-addressed batches (WW/direct)
-and ``<ns>.p`` for process-addressed batches (WPs/WsP/PP). Multiple
-instances can coexist on one runtime (index-gather uses one for
-requests, one for responses).
+Handler wiring: each scheme instance registers its message kinds under
+a unique namespace: ``<ns>.w`` for worker-addressed batches (WW,
+Direct, degraded fallbacks), ``<ns>.p`` for process-addressed batches
+(WPs/WsP/PP, and WNs/NN intra-node forwards), ``<ns>.n`` for WNs/NN
+node-addressed batches and ``<ns>.hop`` for R2D's routed hops.
+Multiple instances can coexist on one runtime (index-gather uses one
+for requests, one for responses).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -38,6 +43,15 @@ if TYPE_CHECKING:  # pragma: no cover
 Buffer = Union[ItemBuffer, CountBuffer]
 
 _instance_ids = itertools.count()
+
+
+def _sections_by_dst(items) -> list:
+    """``(dst_worker, items)`` runs of ``items``, in first-appearance
+    order of their destinations."""
+    by_dst = defaultdict(list)
+    for item in items:
+        by_dst[item.dst].append(item)
+    return list(by_dst.items())
 
 
 class SchemeBase:
@@ -61,9 +75,13 @@ class SchemeBase:
 
     #: Scheme name as used in the paper (set by subclasses).
     name = "?"
-    #: Whether source buffers are addressed per destination worker
-    #: (WW / direct) rather than per destination process.
-    worker_addressed = False
+    #: Handler suffix of the messages carved from this scheme's buffers;
+    #: ``None`` picks ``.w`` or ``.p`` from the buffer's destination.
+    _buffer_kind: Optional[str] = None
+    #: Source-side grouping (WsP): ``fn(ctx, payload, count)`` charges
+    #: for it and returns the nanoseconds, which the span attributes to
+    #: the ``src_group`` stage. ``None``: the destination groups.
+    _prepare_payload: Optional[Callable] = None
 
     def __init__(
         self,
@@ -124,8 +142,12 @@ class SchemeBase:
         #: 1.0 until the flow controller escalates, so default arithmetic
         #: is unchanged bit for bit.
         self._overload_capacity_mult = 1.0
-        #: Allocated buffer bytes per owner (worker id, or ("p", pid) for
-        #: shared process buffers) — drives the cache-footprint penalty.
+        #: Source buffer tables, one ``{key: buffer}`` dict per source
+        #: worker; PP and NN share one per process or node instead.
+        self._tables: list = [{} for _ in range(rt.machine.total_workers)]
+        #: Allocated buffer bytes per owner (the worker, process or node
+        #: whose table holds the buffer; ``("f", pid)`` for R2D's
+        #: forwarding buffers) — drives the cache-footprint penalty.
         self._footprint: dict = {}
         self._ns = f"tram/{next(_instance_ids)}/{self.name}"
         rt.register_handler(self._ns + ".w", self._on_worker_msg)
@@ -266,51 +288,89 @@ class SchemeBase:
     # Subclass interface
     # ==================================================================
     def _insert_item(self, ctx, src: int, item: Item) -> None:
+        """Find (:meth:`_get`) and fill the item's buffer, charging the
+        scheme's insert cost."""
         raise NotImplementedError
 
     def _insert_bulk(self, ctx, src: int, counts: np.ndarray, total: int) -> None:
-        raise NotImplementedError
+        """Bulk counterpart of :meth:`_insert_item`; a scheme without a
+        count path refuses it."""
+        raise ConfigError(f"{self.name} supports per-item fidelity only")
 
-    def _flush_worker(self, ctx, wid: int) -> None:
-        raise NotImplementedError
-
-    def _has_pending(self, wid: int) -> bool:
-        raise NotImplementedError
-
-    def _all_buffers(self) -> Iterable[Buffer]:
-        raise NotImplementedError
+    def _table(self, wid: int) -> dict:
+        """The buffer table worker ``wid`` flushes (its own by default)."""
+        return self._tables[wid]
 
     # ==================================================================
-    # Buffer lifecycle helpers (used by subclasses)
+    # Buffer lookup and lifecycle
     # ==================================================================
-    def _new_item_buffer(
-        self, dest: Tuple[int, Optional[int]], owner=None
-    ) -> ItemBuffer:
-        self._account_buffer(owner)
-        return ItemBuffer(self.config.buffer_items, dest=dest)
+    def _get(self, bufs: dict, key, owner, item_mode: bool) -> Buffer:
+        """The buffer under ``key`` in table ``bufs``, created on a miss
+        and charged to ``owner``'s footprint.
 
-    def _new_count_buffer(
-        self,
-        dest: Tuple[int, Optional[int]],
-        dst_ids: Optional[np.ndarray] = None,
-        src_ids: Optional[np.ndarray] = None,
-        owner=None,
-    ) -> CountBuffer:
-        self._account_buffer(owner)
-        return CountBuffer(
-            self.config.buffer_items, dst_ids=dst_ids, src_ids=src_ids, dest=dest
-        )
-
-    def _account_buffer(self, owner=None) -> None:
-        nbytes = self.config.buffer_items * self.config.item_bytes
-        self.stats.buffers_allocated += 1
-        self.stats.buffer_bytes_allocated += nbytes
-        if owner is not None:
+        ``key`` is a destination worker, process or node, or a next hop;
+        a buffering scheme creates the missing buffer in its
+        ``_new_buffer(key, owner, item_mode)``. A hit costs one dict
+        lookup plus the mode check.
+        """
+        buf = bufs.get(key)
+        if buf is None:
+            buf = bufs[key] = self._new_buffer(key, owner, item_mode)
+            nbytes = self.config.buffer_items * self.config.item_bytes
+            self.stats.buffers_allocated += 1
+            self.stats.buffer_bytes_allocated += nbytes
             self._footprint[owner] = self._footprint.get(owner, 0) + nbytes
+        elif (buf.__class__ is ItemBuffer) != item_mode:
+            raise ConfigError(
+                "do not mix insert() and insert_bulk() on one scheme instance"
+            )
+        return buf
+
+    def _new_group_buffer(
+        self, key: int, item_mode: bool, workers_of, src_group: Optional[int] = None
+    ) -> Buffer:
+        """A buffer for the process or node ``key`` (``workers_of`` maps
+        one to its workers). Its count buffer tracks each destination
+        worker, and for a table shared by the workers of process or node
+        ``src_group`` (PP, NN) each contributing worker too."""
+        dest = (key, None)
+        g = self.config.buffer_items
+        if item_mode:
+            return ItemBuffer(g, dest)
+        return CountBuffer(
+            g,
+            dst_ids=np.array(workers_of(key), dtype=np.int64),
+            src_ids=(
+                None
+                if src_group is None
+                else np.array(workers_of(src_group), dtype=np.int64)
+            ),
+            dest=dest,
+        )
 
     def _insert_penalty(self, owner) -> float:
         """Cache-footprint multiplier for inserts by this owner."""
         return self.rt.costs.cache_penalty(self._footprint.get(owner, 0))
+
+    def _insert_grouped(
+        self, ctx, bufs: dict, owner, counts: np.ndarray, width: int,
+        src_slot: Optional[int] = None,
+    ) -> None:
+        """Pour a bulk insert into one count buffer per destination
+        process or node (``width`` workers each) of table ``bufs``;
+        ``src_slot`` is the inserting worker's slot in a shared table."""
+        per_group = counts.reshape(-1, width).sum(axis=1)
+        now = ctx.now
+        for key in np.nonzero(per_group)[0]:
+            key = int(key)
+            buf = self._get(bufs, key, owner, item_mode=False)
+            buf.add_counts(
+                int(per_group[key]),
+                now,
+                dst_slot_counts=counts[key * width : (key + 1) * width],
+                src_slot=src_slot,
+            )
+            self._drain_full(ctx, buf)
 
     # ==================================================================
     # Sending
@@ -325,20 +385,23 @@ class SchemeBase:
         while buf.count >= g:
             self._send_chunk(ctx, buf, g, full=True)
 
-    def _send_chunk(self, ctx, buf: Buffer, k: int, *, full: bool) -> None:
-        """Carve ``k`` items (or everything, if fewer) into one message."""
-        k = min(k, buf.count)
-        if k == 0:
-            return
-        if isinstance(buf, ItemBuffer):
-            items = buf.drain(k)
-            payload: Union[ItemBatch, BulkBatch] = ItemBatch(items)
-            count = len(items)
-        else:
-            payload = buf.take(k)
-            count = payload.count
+    def _carve(self, buf: Buffer, k: int) -> Union[ItemBatch, BulkBatch]:
+        """Take the oldest ``k`` items (``0 < k <= buf.count``) out of a
+        buffer as one payload."""
+        if buf.__class__ is ItemBuffer:
+            return ItemBatch(buf.drain(k))
+        return buf.take(k)
+
+    def _send_chunk(
+        self, ctx, buf: Buffer, k: int, *, full: bool, forwarded: bool = False
+    ) -> None:
+        """Carve ``k`` items (``0 < k <= buf.count``) into one message to
+        the buffer's destination."""
         dst_process, dst_worker = buf.dest
-        self._emit_message(ctx, payload, count, dst_process, dst_worker, full=full)
+        self._emit_message(
+            ctx, self._carve(buf, k), k, dst_process, dst_worker,
+            full=full, kind=self._buffer_kind, forwarded=forwarded,
+        )
 
     def _emit_message(
         self,
@@ -348,15 +411,28 @@ class SchemeBase:
         dst_process: int,
         dst_worker: Optional[int],
         *,
-        full: bool,
+        full: Optional[bool],
+        kind: Optional[str] = None,
+        forwarded: bool = False,
     ) -> None:
-        """Package a batch and release it at task completion."""
+        """Package a batch and release it at task completion.
+
+        ``full`` counts the message in ``messages_full`` or, when False,
+        ``messages_flush``; ``forwarded`` counts it in
+        ``messages_forwarded`` as well. ``full=None`` marks a WNs/NN
+        intra-node forward, which counts as neither and pays no non-SMP
+        send service (R2D's forwarded hop counts as both and pays it).
+        ``kind`` is the handler suffix; by default ``.w`` for a worker
+        destination, else ``.p``.
+        """
         costs = self.rt.costs
-        group_ns = self._prepare_payload(ctx, payload, count)
+        prepare = self._prepare_payload
+        group_ns = 0.0 if prepare is None else prepare(ctx, payload, count)
         size = costs.message_bytes(count, self.config.item_bytes)
-        kind = self._ns + (".w" if dst_worker is not None else ".p")
+        if kind is None:
+            kind = ".w" if dst_worker is not None else ".p"
         msg = NetMessage(
-            kind=kind,
+            kind=self._ns + kind,
             src_worker=ctx.worker.wid,
             dst_process=dst_process,
             dst_worker=dst_worker,
@@ -365,24 +441,22 @@ class SchemeBase:
             expedited=self.config.expedited,
         )
         if self.stages is not None:
+            # A fresh span per message: a forwarded leg restarts
+            # attribution, so time up to its hop lands in its src_buffer.
             msg.span = MsgSpan(group_ns)
         ctx.charge(costs.pack_msg_ns)
-        if not self.rt.machine.smp:
-            ctx.charge(costs.nonsmp_send_service_ns(size))
-        if full:
-            self.stats.messages_full += 1
-        else:
-            self.stats.messages_flush += 1
-        self.stats.bytes_sent += size
+        stats = self.stats
+        if full is not None:
+            if not self.rt.machine.smp:
+                ctx.charge(costs.nonsmp_send_service_ns(size))
+            if full:
+                stats.messages_full += 1
+            else:
+                stats.messages_flush += 1
+        if forwarded:
+            stats.messages_forwarded += 1
+        stats.bytes_sent += size
         ctx.emit(self.rt.transport.send, msg)
-
-    def _prepare_payload(self, ctx, payload, count: int) -> float:
-        """Hook for source-side grouping (overridden by WsP).
-
-        Returns the grouping CPU nanoseconds charged, so the span can
-        attribute them to the ``src_group`` stage.
-        """
-        return 0.0
 
     # ==================================================================
     # Degraded-mode fallback (reliability retry budget exhausted)
@@ -433,9 +507,13 @@ class SchemeBase:
         routed (Routed2D) schemes override: their buffer keys are not
         final destinations, so they fail over instead.
         """
+        self._drop_buffers_to(pid)
+
+    def _drop_buffers_to(self, dest: int) -> None:
+        """Empty and loss-account every buffer addressed to ``dest``."""
         dropped = 0
         for buf in self._all_buffers():
-            if buf.count and buf.dest[0] == pid:
+            if buf.count and buf.dest[0] == dest:
                 dropped += self._discard_buffer(buf)
         if dropped:
             self._note_dead_peer_drop(dropped)
@@ -463,28 +541,20 @@ class SchemeBase:
     def _buffers_hosted_by(self, pid: int) -> Iterable[Buffer]:
         """Buffers living in the dead process's heap.
 
-        The default covers the common worker-owned layout
-        (``self._by_worker`` indexed by wid); schemes with shared
-        process/node buffers or forwarding buffers override or extend
-        it. Yielded buffers are detached so a restart starts clean.
+        The default covers per-worker tables; PP (process-shared) and
+        R2D (forwarding buffers) override or extend it. Yielded buffers
+        are detached so a restart starts clean.
         """
-        by_worker = getattr(self, "_by_worker", None)
-        if by_worker is None:
-            return
         for wid in self.rt.machine.workers_of_process(pid):
-            bufs = by_worker[wid]
-            for buf in list(bufs.values()):
-                yield buf
+            bufs = self._tables[wid]
+            yield from list(bufs.values())
             bufs.clear()
 
     def _discard_buffer(self, buf: Buffer) -> int:
         """Empty one buffer without sending; returns the items lost."""
         n = buf.count
         if n:
-            if isinstance(buf, ItemBuffer):
-                buf.drain(n)
-            else:
-                buf.take(n)
+            self._carve(buf, n)
         return n
 
     def _note_dead_peer_drop(self, items: int) -> None:
@@ -588,6 +658,21 @@ class SchemeBase:
     def _flush_task(self, ctx) -> None:
         self._flush_worker(ctx, ctx.worker.wid)
 
+    def _flush_worker(self, ctx, wid: int) -> None:
+        """Send every non-empty buffer of ``wid``'s table as it stands."""
+        if self._defer_if_gated(wid):
+            return
+        for buf in self._table(wid).values():
+            if not buf.empty:
+                self._send_chunk(ctx, buf, buf.count, full=False)
+
+    def _has_pending(self, wid: int) -> bool:
+        return any(not buf.empty for buf in self._table(wid).values())
+
+    def _all_buffers(self) -> Iterable[Buffer]:
+        for bufs in self._tables:
+            yield from bufs.values()
+
     def _maybe_priority_flush(self, ctx, buf: Buffer, item: Item) -> bool:
         """Priority-aware flushing (paper future work): urgent item ->
         flush its buffer immediately. Returns True if flushed."""
@@ -682,44 +767,46 @@ class SchemeBase:
         """Process-addressed batch: group by PE, fan out sections."""
         payload = msg.payload
         costs = self.rt.costs
-        me = ctx.worker.wid
-        if isinstance(payload, ItemBatch):
-            self._obs_items_msg(ctx, msg, payload.items)
-            if payload.grouped:
-                ctx.charge(costs.group_elem_ns * self._t)
-                sections = payload.sections
-            else:
-                ctx.charge(costs.group_cost_ns(payload.count, self._t))
-                self.stats.group_elements += payload.count + self._t
-                by_dst = defaultdict(list)
-                for item in payload.items:
-                    by_dst[item.dst].append(item)
-                sections = list(by_dst.items())
-            for dst, items in sections:
-                if dst == me:
-                    self._deliver_items_here(ctx, items)
-                else:
-                    ctx.charge(costs.local_msg_ns)
-                    self.stats.local_sections += 1
-                    ctx.emit(
-                        self._post, dst, self._section_items_task, items, ctx.now
-                    )
-            return
-
-    # -- bulk process-addressed ----------------------------------------
-        if self.stages is not None:
+        items = payload.items if isinstance(payload, ItemBatch) else None
+        if items is not None:
+            self._obs_items_msg(ctx, msg, items)
+        elif self.stages is not None:
             self._obs_msg(ctx, msg, payload.count, payload.t_sum)
         if payload.grouped:
             ctx.charge(costs.group_elem_ns * self._t)
         else:
             ctx.charge(costs.group_cost_ns(payload.count, self._t))
             self.stats.group_elements += payload.count + self._t
-        src_ids, src_counts = self._src_breakdown(msg, payload)
+        if items is None:
+            self._fan_out_counts(ctx, payload, *self._src_breakdown(msg, payload))
+        else:
+            self._fan_out_items(
+                ctx, payload.sections if payload.grouped else _sections_by_dst(items)
+            )
+
+    def _fan_out_items(self, ctx, sections) -> None:
+        """Deliver each ``(dst, items)`` section here, or send it to its
+        PE within the process."""
+        me = ctx.worker.wid
+        for dst, items in sections:
+            if dst == me:
+                self._deliver_items_here(ctx, items)
+            else:
+                ctx.charge(self.rt.costs.local_msg_ns)
+                self.stats.local_sections += 1
+                ctx.emit(self._post, dst, self._section_items_task, items, ctx.now)
+
+    def _fan_out_counts(self, ctx, batch: BulkBatch, src_ids, src_counts) -> None:
+        """The count-mode :meth:`_fan_out_items`: one section per
+        destination slot of ``batch``, its sources split pro rata
+        (largest remainder) and its time moments by item share."""
+        me = ctx.worker.wid
         remaining_src = src_counts.copy()
-        remaining_total = payload.count
-        dst_ids = payload.dst_ids
-        dst_counts = payload.dst_counts
-        mean_t = payload.t_sum / payload.count
+        remaining_total = batch.count
+        dst_ids = batch.dst_ids
+        dst_counts = batch.dst_counts
+        mean_t = batch.t_sum / batch.count
+        t_min = batch.t_min
         for slot in np.nonzero(dst_counts)[0]:
             dst = int(dst_ids[slot])
             n = int(dst_counts[slot])
@@ -728,21 +815,14 @@ class SchemeBase:
             remaining_total -= n
             if dst == me:
                 self._deliver_bulk_here(
-                    ctx, n, src_ids, section_src, n * mean_t, payload.t_min
+                    ctx, n, src_ids, section_src, n * mean_t, t_min
                 )
             else:
-                ctx.charge(costs.local_msg_ns)
+                ctx.charge(self.rt.costs.local_msg_ns)
                 self.stats.local_sections += 1
                 ctx.emit(
-                    self._post,
-                    dst,
-                    self._section_bulk_task,
-                    n,
-                    src_ids,
-                    section_src,
-                    n * mean_t,
-                    payload.t_min,
-                    ctx.now,
+                    self._post, dst, self._section_bulk_task,
+                    n, src_ids, section_src, n * mean_t, t_min, ctx.now,
                 )
 
     def _src_breakdown(self, msg: NetMessage, payload: BulkBatch):

@@ -8,19 +8,16 @@ aggregated ``(z/g) * alpha + beta*b*z``).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from repro.tram.item import BulkBatch, Item, ItemBatch
-from repro.tram.schemes.base import Buffer, SchemeBase
+from repro.tram.schemes.base import SchemeBase
 
 
 class DirectScheme(SchemeBase):
-    """One message per item (no buffering at all)."""
+    """One message per item (no buffering at all: its tables stay empty)."""
 
     name = "Direct"
-    worker_addressed = True
 
     def _insert_item(self, ctx, src: int, item: Item) -> None:
         dst_process = self.rt.machine.process_of_worker(item.dst)
@@ -47,10 +44,4 @@ class DirectScheme(SchemeBase):
                 self._emit_message(ctx, batch, 1, dst_process, dst, full=True)
 
     def _flush_worker(self, ctx, wid: int) -> None:
-        """Nothing is ever buffered."""
-
-    def _has_pending(self, wid: int) -> bool:
-        return False
-
-    def _all_buffers(self) -> Iterable[Buffer]:
-        return ()
+        """Nothing is ever buffered, so a flush never waits for credits."""

@@ -49,7 +49,8 @@ def make_scheme(
     Parameters
     ----------
     name:
-        One of ``WW``, ``WPs``, ``WsP``, ``PP`` or ``Direct``.
+        One of ``WW``, ``WPs``, ``WsP``, ``PP``, ``Direct``, ``WNs``,
+        ``NN`` or ``R2D``.
     rt:
         Runtime to attach to.
     config:

@@ -24,11 +24,10 @@ from __future__ import annotations
 import math
 from typing import Iterable, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigError
-from repro.tram.item import Item, ItemBatch
-from repro.tram.schemes.base import Buffer, SchemeBase
+from repro.tram.buffer import ItemBuffer
+from repro.tram.item import Item
+from repro.tram.schemes.base import Buffer, SchemeBase, _sections_by_dst
 
 
 def grid_shape(n_processes: int) -> Tuple[int, int]:
@@ -48,7 +47,7 @@ class Routed2DScheme(SchemeBase):
     """
 
     name = "R2D"
-    worker_addressed = False
+    _buffer_kind = ".hop"
 
     def __init__(self, rt, config, deliver_item=None, deliver_bulk=None) -> None:
         if deliver_bulk is not None:
@@ -60,19 +59,15 @@ class Routed2DScheme(SchemeBase):
             raise ConfigError(
                 f"{n} processes do not factor into a 2D grid"
             )
-        #: Source-worker buffers keyed by next-hop process.
-        self._by_worker = [dict() for _ in range(rt.machine.total_workers)]
         #: Forwarding buffers at intermediates, keyed by next hop, shared
         #: per process (any PE of the intermediate may receive the hop).
+        #: Source-worker buffers, keyed by next hop, are the base tables.
         self._forward = [dict() for _ in range(n)]
         rt.register_handler(self._ns + ".hop", self._on_hop_msg)
 
     # ------------------------------------------------------------------
-    # Grid arithmetic
+    # Grid arithmetic: process p sits at (row, col) = divmod(p, cols)
     # ------------------------------------------------------------------
-    def _coords(self, process: int) -> Tuple[int, int]:
-        return process // self.cols, process % self.cols
-
     def next_hop(self, at_process: int, dst_process: int) -> int:
         """Next process on the row-then-column route towards ``dst``.
 
@@ -80,11 +75,11 @@ class Routed2DScheme(SchemeBase):
         then within that column to the destination row — at most one
         intermediate hop.
         """
-        at_row, at_col = self._coords(at_process)
-        _, dst_col = self._coords(dst_process)
-        if at_col == dst_col:
+        cols = self.cols
+        dst_col = dst_process % cols
+        if at_process % cols == dst_col:
             return dst_process  # column already correct: go direct
-        return at_row * self.cols + dst_col
+        return at_process // cols * cols + dst_col
 
     def _route(self, at_process: int, dst_process: int) -> int:
         """Next hop with failover around dead intermediaries.
@@ -100,9 +95,8 @@ class Routed2DScheme(SchemeBase):
         if dead is None or hop == dst_process or hop not in dead:
             return hop
         self.stats.failover_reroutes += 1
-        dst_row, _ = self._coords(dst_process)
-        _, at_col = self._coords(at_process)
-        alt = dst_row * self.cols + at_col
+        cols = self.cols
+        alt = dst_process // cols * cols + at_process % cols
         if alt not in dead:
             return alt
         return dst_process
@@ -110,80 +104,26 @@ class Routed2DScheme(SchemeBase):
     # ------------------------------------------------------------------
     # Source side
     # ------------------------------------------------------------------
-    def _get(self, bufs: dict, hop: int, owner) -> Buffer:
-        buf = bufs.get(hop)
-        if buf is None:
-            buf = self._new_item_buffer((hop, None), owner=owner)
-            bufs[hop] = buf
-        return buf
+    def _new_buffer(self, hop: int, owner, item_mode: bool) -> Buffer:
+        return ItemBuffer(self.config.buffer_items, (hop, None))
 
     def _insert_item(self, ctx, src: int, item: Item) -> None:
         machine = self.rt.machine
         my_process = machine.process_of_worker(src)
         dst_process = machine.process_of_worker(item.dst)
         hop = self._route(my_process, dst_process)
-        buf = self._get(self._by_worker[src], hop, owner=src)
+        buf = self._get(self._tables[src], hop, src, item_mode=True)
         ctx.charge(self.rt.costs.item_insert_ns * self._insert_penalty(src))
         buf.add(item)
         if not self._maybe_priority_flush(ctx, buf, item):
-            self._drain_full_hop(ctx, buf, hop)
-
-    def _insert_bulk(self, ctx, src, counts, total) -> None:  # pragma: no cover
-        raise ConfigError("R2D supports per-item fidelity only")
+            # Unlike _drain_full, no overload buffer growth.
+            g = self.config.buffer_items
+            while buf.count >= g:
+                self._send_chunk(ctx, buf, g, full=True)
 
     # ------------------------------------------------------------------
-    # Hop emission / reception
+    # Hop reception
     # ------------------------------------------------------------------
-    def _drain_full_hop(self, ctx, buf: Buffer, hop: int) -> None:
-        g = self.config.buffer_items
-        while buf.count >= g:
-            self._send_hop(ctx, buf, g, hop, full=True)
-
-    def _send_chunk(self, ctx, buf: Buffer, k: int, *, full: bool) -> None:
-        # The base-class priority flush lands here; the hop is recorded
-        # in the buffer's dest.
-        hop, _ = buf.dest
-        self._send_hop(ctx, buf, k, hop, full=full)
-
-    def _send_hop(
-        self, ctx, buf: Buffer, k: int, hop: int, *,
-        full: bool, forwarded: bool = False,
-    ) -> None:
-        k = min(k, buf.count)
-        if k == 0:
-            return
-        items = buf.drain(k)
-        from repro.network.message import NetMessage
-        from repro.obs.spans import MsgSpan
-
-        costs = self.rt.costs
-        size = costs.message_bytes(len(items), self.config.item_bytes)
-        msg = NetMessage(
-            kind=self._ns + ".hop",
-            src_worker=ctx.worker.wid,
-            dst_process=hop,
-            dst_worker=None,
-            size_bytes=size,
-            payload=ItemBatch(items),
-            expedited=self.config.expedited,
-        )
-        if self.stages is not None:
-            # Fresh per-hop span: an intermediate attributes only the
-            # items it delivers; re-buffered items restart on the next
-            # hop's message (earlier legs land in its src_buffer).
-            msg.span = MsgSpan()
-        ctx.charge(costs.pack_msg_ns)
-        if not self.rt.machine.smp:
-            ctx.charge(costs.nonsmp_send_service_ns(size))
-        if full:
-            self.stats.messages_full += 1
-        else:
-            self.stats.messages_flush += 1
-        if forwarded:
-            self.stats.messages_forwarded += 1
-        self.stats.bytes_sent += size
-        ctx.emit(self.rt.transport.send, msg)
-
     def _on_hop_msg(self, ctx, msg) -> None:
         """At a hop: deliver local items, re-buffer the rest."""
         machine = self.rt.machine
@@ -193,48 +133,36 @@ class Routed2DScheme(SchemeBase):
         ctx.charge(costs.group_cost_ns(len(items), self._t))
         self.stats.group_elements += len(items) + self._t
 
-        local_by_dst: dict = {}
+        local = []
         dead = self._dead_peers
         doomed = 0
+        g = self.config.buffer_items
         for item in items:
             dst_process = machine.process_of_worker(item.dst)
             if dst_process == me_process:
-                local_by_dst.setdefault(item.dst, []).append(item)
+                local.append(item)
+            elif dead is not None and dst_process in dead:
+                # Destination died while the item was in transit.
+                doomed += 1
             else:
-                if dead is not None and dst_process in dead:
-                    # Destination died while the item was in transit.
-                    doomed += 1
-                    continue
                 hop = self._route(me_process, dst_process)
                 buf = self._get(
-                    self._forward[me_process], hop, owner=("f", me_process)
+                    self._forward[me_process], hop, ("f", me_process),
+                    item_mode=True,
                 )
                 ctx.charge(costs.item_insert_ns)
                 buf.add(item)
-                if buf.count >= self.config.buffer_items:
-                    self._send_hop(
-                        ctx, buf, self.config.buffer_items, hop,
-                        full=True, forwarded=True,
-                    )
+                if buf.count >= g:
+                    self._send_chunk(ctx, buf, g, full=True, forwarded=True)
         if doomed:
             self._note_dead_peer_drop(doomed)
 
+        sections = _sections_by_dst(local)
         if self.stages is not None:
-            local_items = [
-                it for section in local_by_dst.values() for it in section
-            ]
-            self._obs_items_msg(ctx, msg, local_items)
-
-        me = ctx.worker.wid
-        for dst, section in local_by_dst.items():
-            if dst == me:
-                self._deliver_items_here(ctx, section)
-            else:
-                ctx.charge(costs.local_msg_ns)
-                self.stats.local_sections += 1
-                ctx.emit(
-                    self._post, dst, self._section_items_task, section, ctx.now
-                )
+            self._obs_items_msg(
+                ctx, msg, [it for _, section in sections for it in section]
+            )
+        self._fan_out_items(ctx, sections)
 
     # ------------------------------------------------------------------
     # Crash fabric
@@ -250,7 +178,7 @@ class Routed2DScheme(SchemeBase):
         """
         machine = self.rt.machine
         dropped = 0
-        for wid, bufs in enumerate(self._by_worker):
+        for wid, bufs in enumerate(self._tables):
             buf = bufs.pop(pid, None)
             if buf is not None:
                 dropped += self._reseat(
@@ -279,42 +207,37 @@ class Routed2DScheme(SchemeBase):
                 dropped += 1
                 continue
             hop = self._route(at_process, dst_process)
-            nb = self._get(bufs, hop, owner)
-            nb.add(item)
+            self._get(bufs, hop, owner, item_mode=True).add(item)
         return dropped
 
     def _buffers_hosted_by(self, pid: int) -> Iterable[Buffer]:
         yield from super()._buffers_hosted_by(pid)
         bufs = self._forward[pid]
-        for buf in list(bufs.values()):
-            yield buf
+        yield from list(bufs.values())
         bufs.clear()
 
     # ------------------------------------------------------------------
-    # Flush plumbing
+    # Flush plumbing: the source table, then this process's forwarding
+    # buffers, so in-transit items are never stranded
     # ------------------------------------------------------------------
     def _flush_worker(self, ctx, wid: int) -> None:
         if self._defer_if_gated(wid):
             return
-        for hop, buf in self._by_worker[wid].items():
+        for buf in self._tables[wid].values():
             if not buf.empty:
-                self._send_hop(ctx, buf, buf.count, hop, full=False)
-        # Also push out this process's forwarding buffers so in-transit
-        # items are never stranded.
+                self._send_chunk(ctx, buf, buf.count, full=False)
         pid = self.rt.machine.process_of_worker(wid)
-        for hop, buf in self._forward[pid].items():
+        for buf in self._forward[pid].values():
             if not buf.empty:
-                self._send_hop(ctx, buf, buf.count, hop, full=False,
-                               forwarded=True)
+                self._send_chunk(ctx, buf, buf.count, full=False, forwarded=True)
 
     def _has_pending(self, wid: int) -> bool:
-        if any(not b.empty for b in self._by_worker[wid].values()):
-            return True
         pid = self.rt.machine.process_of_worker(wid)
-        return any(not b.empty for b in self._forward[pid].values())
+        return super()._has_pending(wid) or any(
+            not b.empty for b in self._forward[pid].values()
+        )
 
     def _all_buffers(self) -> Iterable[Buffer]:
-        for bufs in self._by_worker:
-            yield from bufs.values()
+        yield from super()._all_buffers()
         for bufs in self._forward:
             yield from bufs.values()

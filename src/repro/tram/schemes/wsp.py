@@ -10,9 +10,8 @@ happens on the (already busy) generating side.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
-from repro.tram.item import BulkBatch, ItemBatch
+from repro.tram.item import ItemBatch
+from repro.tram.schemes.base import _sections_by_dst
 from repro.tram.schemes.wps import WPsScheme
 
 
@@ -26,18 +25,12 @@ class WsPScheme(WPsScheme):
 
         Returns the grouping nanoseconds charged (span ``src_group``).
         """
-        costs = self.rt.costs
-        group_ns = costs.group_cost_ns(count, self._t)
+        group_ns = self.rt.costs.group_cost_ns(count, self._t)
         ctx.charge(group_ns)
         self.stats.group_elements += count + self._t
-        if isinstance(payload, ItemBatch):
-            by_dst = defaultdict(list)
-            for item in payload.items:
-                by_dst[item.dst].append(item)
-            payload.sections = list(by_dst.items())
-            payload.grouped = True
-        elif isinstance(payload, BulkBatch):
-            # Count buffers already hold per-destination marginals; the
-            # flag tells the receiver the grouping work was paid here.
-            payload.grouped = True
+        if payload.__class__ is ItemBatch:
+            payload.sections = _sections_by_dst(payload.items)
+        # Count buffers already hold per-destination marginals; for them
+        # the flag only tells the receiver the grouping work was paid here.
+        payload.grouped = True
         return group_ns

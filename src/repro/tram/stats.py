@@ -219,7 +219,9 @@ class TramStats:
     group_elements: int = 0
     #: Within-process section sends performed at destinations.
     local_sections: int = 0
-    #: Intra-node forwards performed by node-level schemes (WNs/NN).
+    #: Forwarded legs: WNs/NN intra-node forwards, which are not in
+    #: ``messages_full``/``messages_flush``, and R2D's intermediate
+    #: hops, which are also counted there.
     messages_forwarded: int = 0
     #: Distinct buffers ever allocated and their total capacity in bytes
     #: (the §III-C memory-overhead measurement).

@@ -525,6 +525,28 @@ class TestSweepCli:
         assert f"argument {flag[0]}" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("axes,fixed,seeds", [
+        ("nodes=1,2;nodes=4", "updates_per_pe=200", "0"),  # axis twice
+        ("nodes=2,2", "updates_per_pe=200", "0"),  # value twice
+        ("nodes=", "updates_per_pe=200", "0"),  # no values
+        ("nodes=1", "updates_per_pe=200,updates_per_pe=300", "0"),
+        ("nodes=1,2", "nodes=4,updates_per_pe=200", "0"),  # fixed and swept
+        ("nodes=1", "updates_per_pe=200", "0,0"),  # seed twice
+    ])
+    def test_sweep_spec_refused(self, axes, fixed, seeds, tmp_path,
+                                monkeypatch, capsys):
+        """A spec the sweep would silently drop or double is refused."""
+        monkeypatch.chdir(tmp_path)
+        argv = [
+            "sweep", "--app", "histogram", "--axes", axes,
+            "--fixed", fixed + ",buffer_items=16,batch=100", "--seeds", seeds,
+            "--no-cache", "--metrics-out", "p.json",
+        ]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", [
         ["--retries", "1"], ["--point-timeout", "5"], ["--status"],
         ["--status-json", "status.json"],

@@ -70,7 +70,7 @@ class TestItemBuffer:
             buf.add(item(dst=i))
         out = buf.drain(2)
         assert [it.dst for it in out] == [0, 1]
-        assert [it.dst for it in buf.items] == [2, 3, 4]
+        assert [it.dst for it in buf.drain()] == [2, 3, 4]
 
 
 class TestCountBuffer:

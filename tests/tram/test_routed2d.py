@@ -109,7 +109,7 @@ class TestDelivery:
         rt.run(max_events=100_000)
         # Worker 0 (process 0, row 0) reaches every process via its
         # row-mates (4 columns): at most cols next hops, vs 7 for WPs.
-        source_bufs = len(tram._by_worker[0])
+        source_bufs = len(tram._tables[0])
         assert source_bufs <= tram.cols
         assert source_bufs < MACHINE.total_processes - 1
 

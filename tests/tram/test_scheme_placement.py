@@ -78,9 +78,9 @@ class TestPPSharing:
         sent_at = []
         orig = tram._emit_message
 
-        def spy(ctx, payload, count, dst_process, dst_worker, *, full):
+        def spy(ctx, payload, count, dst_process, dst_worker, *, full, **kw):
             sent_at.append((ctx.now, count, full))
-            orig(ctx, payload, count, dst_process, dst_worker, full=full)
+            orig(ctx, payload, count, dst_process, dst_worker, full=full, **kw)
 
         tram._emit_message = spy
 

@@ -155,27 +155,80 @@ class TestCallbacks:
             make_scheme(scheme, rt, TramConfig())
 
     def test_mode_mixing_rejected(self, scheme):
+        """Either fidelity refuses the other on a buffer it created."""
         if scheme in ("Direct", "R2D"):
             pytest.skip("no mixed-mode buffers for this scheme")
-        errors = []
-        rt, tram = build(
-            scheme, deliver_item=lambda c, i: None,
-            deliver_bulk=lambda c, w, n, si, sc: None,
-        )
+        for bulk_first in (False, True):
+            errors = []
+            rt, tram = build(
+                scheme, deliver_item=lambda c, i: None,
+                deliver_bulk=lambda c, w, n, si, sc: None,
+            )
+            W = rt.machine.total_workers
+            counts = np.zeros(W, dtype=np.int64)
+            counts[W - 1] = 1  # remote: goes into a buffer
+            first, second = (
+                (lambda ctx: tram.insert(ctx, dst=W - 1)),
+                (lambda ctx: tram.insert_bulk(ctx, counts)),
+            )
+            if bulk_first:
+                first, second = second, first
+
+            def driver(ctx):
+                first(ctx)
+                try:
+                    second(ctx)
+                except ConfigError as e:
+                    errors.append(e)
+
+            rt.post(0, driver)
+            rt.run(max_events=10_000)
+            assert len(errors) == 1, bulk_first
+            assert "do not mix" in str(errors[0])
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+@pytest.mark.parametrize("mode", ["item", "bulk"])
+class TestTransportAgreement:
+    def test_counters_match_transport(self, scheme, mode):
+        """The scheme's message and byte counters are what the transport
+        carried: WNs/NN intra-node forwards count only as forwarded, R2D's
+        forwarded hops also as full or flush messages."""
+        if scheme == "R2D" and mode == "bulk":
+            pytest.skip("R2D is per-item only")
+        if mode == "item":
+            rt, tram = build(scheme, g=3, deliver_item=lambda c, i: None)
+        else:
+            rt, tram = build(
+                scheme, g=16, deliver_bulk=lambda c, w, n, si, sc: None
+            )
         W = rt.machine.total_workers
 
         def driver(ctx):
-            tram.insert(ctx, dst=W - 1)  # remote: goes into a buffer
-            counts = np.zeros(W, dtype=np.int64)
-            counts[W - 1] = 1
-            try:
-                tram.insert_bulk(ctx, counts)
-            except ConfigError as e:
-                errors.append(e)
+            wid = ctx.worker.wid
+            if mode == "item":
+                for i in range(5 * W):
+                    tram.insert(ctx, dst=(wid + i) % W, payload=i)
+            else:
+                rng = rt.rng.stream(f"agree/{wid}")
+                tram.insert_bulk(ctx, np.bincount(rng.integers(0, W, 150),
+                                                  minlength=W))
+            tram.flush(ctx)
 
-        rt.post(0, driver)
-        rt.run(max_events=10_000)
-        assert errors
+        for w in range(W):
+            rt.post(w, driver)
+        rt.run(max_events=500_000)
+        stats = tram.stats
+        assert stats.items_delivered == stats.items_inserted
+        assert tram.pending_items() == 0
+        transport = rt.transport.stats
+        assert sum(transport.bytes.values()) == stats.bytes_sent
+        expected = stats.messages_full + stats.messages_flush
+        if scheme in ("WNs", "NN"):
+            expected += stats.messages_forwarded
+        assert transport.total_messages == expected
+        if scheme in ("WNs", "NN", "R2D"):
+            assert stats.messages_forwarded > 0  # the hop was exercised
 
 
 class TestRegistry:
