@@ -167,7 +167,7 @@ class FlowController:
         self._nic_gates: Dict[int, Tuple[CreditGate, "Nic"]] = {}
         #: id(gate) -> {(id(scheme), wid): (scheme, wid)} deferred flushes.
         self._flush_waiters: Dict[int, Dict[Tuple[int, int], Tuple[Any, int]]] = {}
-        #: wid -> (id(ctx), ctx.start): dedupes stall charges per task.
+        #: wid -> (id(ctx), ctx.now): dedupes stall charges per task.
         self._stall_marks: Dict[int, Tuple[int, float]] = {}
         self._overloaded = False
         if rt.machine.smp:
@@ -304,22 +304,19 @@ class FlowController:
     # ------------------------------------------------------------------
     def _source_gate(self, wid: int) -> Optional[CreditGate]:
         """The gate a worker's outbound traffic passes first."""
-        machine = self.rt.machine
-        pid = machine.process_of_worker(wid)
-        if machine.smp:
+        rt = self.rt
+        pid = rt.proc_of_worker[wid]
+        if rt.machine.smp:
             entry = self._ct_gates.get(pid)
             return entry[0] if entry is not None else None
-        node = machine.node_of_process(pid)
-        nic = self.rt.node(node).nic_for_process(pid)
-        return self._nic_gates[id(nic)][0]
+        return self._nic_gates[id(rt.nic_of_proc[pid])][0]
 
     def _source_pressure(self, wid: int) -> float:
-        machine = self.rt.machine
-        pid = machine.process_of_worker(wid)
-        if machine.smp:
+        rt = self.rt
+        pid = rt.proc_of_worker[wid]
+        if rt.machine.smp:
             return self._ct_pressure(self._ct_gates[pid][1])
-        node = machine.node_of_process(pid)
-        return self.rt.node(node).nic_for_process(pid).tx_backlog_ns
+        return rt.nic_of_proc[pid].tx_backlog_ns
 
     def _ct_pressure(self, ct: "CommThread") -> float:
         """Comm-thread backlog including any remaining scripted stall."""
@@ -338,7 +335,7 @@ class FlowController:
         task never sleeps for the whole backlog.
         """
         wid = ctx.worker.wid
-        mark = (id(ctx), ctx.start)
+        mark = (id(ctx), ctx.now)
         if self._stall_marks.get(wid) == mark:
             return 0.0
         cfg = self.config

@@ -22,7 +22,7 @@ class Route(enum.Enum):
     INTER_NODE = "inter_node"
 
 
-@dataclass
+@dataclass(slots=True)
 class NetMessage:
     """One transport-level message.
 

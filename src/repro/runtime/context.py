@@ -4,7 +4,7 @@ Execution model
 ---------------
 A handler runs *logically* at the simulated time its task starts. While
 running it accumulates CPU cost via :meth:`ExecContext.charge`; the
-worker stays busy until ``start + total cost``, and everything the
+worker stays busy until ``now + total cost``, and everything the
 handler *emits* (sends, follow-up events) is released at that completion
 time. This "charge-and-defer" model keeps handlers plain Python while
 preserving exact server semantics (a PE processes one task at a time and
@@ -32,24 +32,23 @@ class ExecContext:
     ----------
     worker:
         The PE executing the task.
-    start:
-        Simulated time the task started (== ``now`` for handlers).
+    now:
+        Logical time of the handler: the simulated time its task
+        started.
     cost:
         CPU nanoseconds charged so far.
+
+    Every task gets a fresh context: the flow controller tells tasks
+    apart by ``id(ctx)``, which a recycled context would repeat.
     """
 
-    __slots__ = ("worker", "start", "cost", "_emissions")
+    __slots__ = ("worker", "now", "cost", "_emissions")
 
-    def __init__(self, worker: "Worker", start: float) -> None:
+    def __init__(self, worker: "Worker", now: float) -> None:
         self.worker = worker
-        self.start = start
+        self.now = now
         self.cost = 0.0
         self._emissions: List[Tuple[float, Callable[..., Any], tuple]] = []
-
-    @property
-    def now(self) -> float:
-        """Logical time of the handler (task start time)."""
-        return self.start
 
     def charge(self, ns: float) -> None:
         """Consume ``ns`` nanoseconds of this PE's CPU."""

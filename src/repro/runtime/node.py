@@ -21,12 +21,13 @@ class Node:
         NIC, and processes map to NICs round-robin.
     """
 
-    __slots__ = ("rt", "node_id", "nics")
+    __slots__ = ("rt", "node_id", "nics", "_first_process")
 
     def __init__(self, rt: "RuntimeSystem", node_id: int, nics) -> None:
         self.rt = rt
         self.node_id = node_id
         self.nics = list(nics)
+        self._first_process = rt.machine.processes_of_node(node_id).start
 
     @property
     def nic(self) -> "Nic":
@@ -34,9 +35,9 @@ class Node:
         return self.nics[0]
 
     def nic_for_process(self, pid: int) -> "Nic":
-        """The NIC serving process ``pid`` (round-robin mapping)."""
-        local = pid - self.rt.machine.processes_of_node(self.node_id).start
-        return self.nics[local % len(self.nics)]
+        """The NIC serving process ``pid`` (round-robin mapping); the
+        runtime reads it per hop from ``RuntimeSystem.nic_of_proc``."""
+        return self.nics[(pid - self._first_process) % len(self.nics)]
 
     @property
     def processes(self) -> range:

@@ -29,7 +29,8 @@ class Process:
     """
 
     __slots__ = (
-        "rt", "pid", "shared", "commthread", "receiver_policy", "_rr", "alive"
+        "rt", "pid", "shared", "commthread", "receiver_policy", "_rr", "alive",
+        "_workers",
     )
 
     def __init__(self, rt: "RuntimeSystem", pid: int) -> None:
@@ -46,6 +47,7 @@ class Process:
         #: ``RuntimeSystem._crash_process``); authoritative liveness is
         #: ``rt.dead_procs``, this mirror is for cheap local checks.
         self.alive = True
+        self._workers = rt.machine.workers_of_process(pid)
 
     @property
     def node_id(self) -> int:
@@ -55,7 +57,7 @@ class Process:
     @property
     def workers(self) -> range:
         """Global worker ids belonging to this process."""
-        return self.rt.machine.workers_of_process(self.pid)
+        return self._workers
 
     def next_receiver(self) -> int:
         """Pick the PE that will handle the next process-addressed message.
@@ -66,7 +68,7 @@ class Process:
         PE, modelling a single dedicated receiver chare. The paper's
         TramLib receiver chare plays this role.
         """
-        workers = self.rt.machine.workers_of_process(self.pid)
+        workers = self._workers
         if self.receiver_policy == "fixed":
             return workers[0]
         wid = workers[self._rr % len(workers)]

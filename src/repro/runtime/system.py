@@ -134,6 +134,23 @@ class RuntimeSystem:
                 nic.faults = self.faults
                 nics.append(nic)
             self._nodes.append(Node(self, n, nics))
+        #: Routing tables, built once from the ``MachineConfig`` maps:
+        #: the global process of each worker, the node of each process
+        #: and the NIC serving each process. The per-hop code (transport,
+        #: schemes, flow control) indexes them instead of calling the
+        #: range-checked maps; ids that enter from outside (an insert's
+        #: destination, a message's destination) are checked where they
+        #: enter.
+        self.proc_of_worker: List[int] = [
+            machine.process_of_worker(w) for w in range(machine.total_workers)
+        ]
+        self.node_of_proc: List[int] = [
+            machine.node_of_process(p) for p in range(machine.total_processes)
+        ]
+        self.nic_of_proc: List[Nic] = [
+            self._nodes[n].nic_for_process(p)
+            for p, n in enumerate(self.node_of_proc)
+        ]
         if machine.smp:
             for proc in self._processes:
                 ct = CommThread(self, proc.pid)

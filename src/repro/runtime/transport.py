@@ -61,9 +61,8 @@ class Transport:
     def send(self, msg: NetMessage) -> None:
         """Release ``msg`` from its source worker at the current time."""
         rt = self.rt
-        machine = rt.machine
         msg.send_time = rt.engine.now
-        src_process = machine.process_of_worker(msg.src_worker)
+        src_process = rt.proc_of_worker[msg.src_worker]
         dp = rt.dead_procs
         if dp and src_process in dp:
             # Emission from a task that was in flight when its process
@@ -72,12 +71,20 @@ class Transport:
             # counts here.
             rt.faults.note_crash_destroyed(msg)
             return
-        if not 0 <= msg.dst_process < machine.total_processes:
+        # The destination enters here from the message's builder; past
+        # this point the runtime's tables index by it, and a negative
+        # index would wrap silently. A worker address must lie in the
+        # destination process, which alone picks the route.
+        if not 0 <= msg.dst_process < len(rt.node_of_proc):
             raise DeliveryError(f"bad destination process {msg.dst_process}")
-        if msg.dst_worker is not None and not (
-            0 <= msg.dst_worker < machine.total_workers
+        wid = msg.dst_worker
+        if wid is not None and not (
+            0 <= wid < len(rt.proc_of_worker)
+            and rt.proc_of_worker[wid] == msg.dst_process
         ):
-            raise DeliveryError(f"bad destination worker {msg.dst_worker}")
+            raise DeliveryError(
+                f"bad destination worker {wid} for process {msg.dst_process}"
+            )
         route = self._classify(src_process, msg.dst_process)
         self.stats.record(route, msg.size_bytes)
         rel = rt.reliable
@@ -86,7 +93,7 @@ class Transport:
 
         if route is Route.INTRA_PROCESS:
             self._deliver_local(msg)
-        elif machine.smp:
+        elif rt.machine.smp:
             ct = rt.process(src_process).commthread
             assert ct is not None
             if rt.flow is None:
@@ -102,12 +109,10 @@ class Transport:
     # Route segments
     # ------------------------------------------------------------------
     def _classify(self, src_process: int, dst_process: int) -> Route:
-        machine = self.rt.machine
         if src_process == dst_process:
             return Route.INTRA_PROCESS
-        if machine.node_of_process(src_process) == machine.node_of_process(
-            dst_process
-        ):
+        node_of = self.rt.node_of_proc
+        if node_of[src_process] == node_of[dst_process]:
             return Route.INTRA_NODE
         return Route.INTER_NODE
 
@@ -123,14 +128,13 @@ class Transport:
 
     def after_commthread_out(self, msg: NetMessage) -> None:
         """Next hop once the source comm thread finished send service."""
-        src_process = self.rt.machine.process_of_worker(msg.src_worker)
-        self._after_send_side(msg, src_process)
+        self._after_send_side(msg, self.rt.proc_of_worker[msg.src_worker])
 
     def _after_send_side(self, msg: NetMessage, src_process: int) -> None:
         rt = self.rt
-        machine = rt.machine
-        src_node = machine.node_of_process(src_process)
-        dst_node = machine.node_of_process(msg.dst_process)
+        node_of = rt.node_of_proc
+        src_node = node_of[src_process]
+        dst_node = node_of[msg.dst_process]
         if src_node == dst_node:
             # Intra-node inter-process: cheap shared-memory transport,
             # no NIC involvement.
@@ -140,8 +144,8 @@ class Transport:
                 rt.costs.alpha_intra_ns, self._arrive_at_process, (msg,)
             )
         else:
-            src_nic = rt.node(src_node).nic_for_process(src_process)
-            dst_nic = rt.node(dst_node).nic_for_process(msg.dst_process)
+            src_nic = rt.nic_of_proc[src_process]
+            dst_nic = rt.nic_of_proc[msg.dst_process]
             latency = rt.costs.wire_latency_ns(src_node == dst_node)
             if rt.flow is None:
                 src_nic.inject(msg, dst_nic, latency)

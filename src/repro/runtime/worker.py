@@ -162,21 +162,17 @@ class Worker:
     # ------------------------------------------------------------------
     # Server loop
     # ------------------------------------------------------------------
-    def _pop(self):
-        if self._expedited:
-            return self._expedited.popleft()
-        if self._normal:
-            return self._normal.popleft()
-        return None
-
     def _start_next(self) -> None:
         if self.dead:
             # An in-flight task's completion event may still fire after
             # the crash; swallow it without idle-hook side effects.
             self._busy = False
             return
-        task = self._pop()
-        if task is None:
+        if self._expedited:
+            fn, args = self._expedited.popleft()
+        elif self._normal:
+            fn, args = self._normal.popleft()
+        else:
             was_busy = self._busy
             self._busy = False
             if was_busy:
@@ -186,20 +182,18 @@ class Worker:
         self._busy = True
         engine = self.rt.engine
         ctx = ExecContext(self, engine.now)
-        fn, args = task
         fn(ctx, *args)
         cost = ctx.cost * self._noise_mult
         finish = engine.now + cost
         for delay, efn, eargs in ctx._emissions:
             engine.call_at(finish + delay, efn, eargs)
-        self.stats.tasks_executed += 1
-        self.stats.busy_ns += cost
-        engine.call_at(finish, self._on_finish)
-
-    def _on_finish(self) -> None:
-        # _start_next observes _busy=True and either starts the next task
-        # or records the busy->idle transition (firing idle hooks).
-        self._start_next()
+        stats = self.stats
+        stats.tasks_executed += 1
+        stats.busy_ns += cost
+        # Completion: _start_next runs again with _busy still True and
+        # either starts the next task or records the busy->idle
+        # transition (firing idle hooks).
+        engine.call_at(finish, self._start_next)
 
     def _run_idle_hooks(self) -> None:
         for hook in self.idle_hooks:

@@ -18,27 +18,61 @@ from repro.errors import SimulationError
 from repro.tram.item import BulkBatch, Item
 
 
-def proportional_take(arr: np.ndarray, k: int, total: int) -> np.ndarray:
+def proportional_take(arr, k: int, total: int) -> list:
     """Take ``k`` of ``total`` items from slots ``arr`` proportionally.
 
-    Uses the largest-remainder method; deterministic (ties broken by
-    slot index) and guaranteed to satisfy ``0 <= take <= arr`` and
-    ``take.sum() == k``.
+    ``arr`` is a sequence of ints summing to ``total``. Largest-remainder
+    method on Python ints: every slot gets the floor of its exact share,
+    and the slots with the largest remainders get one more each until
+    ``k`` is reached, ties going to the lowest slot index. Guarantees
+    ``0 <= take <= arr`` and ``sum(take) == k``.
     """
     if k > total:
         raise SimulationError(f"cannot take {k} of {total}")
     if k == total:
-        return arr.copy()
-    prod = arr * k
-    take = prod // total
-    deficit = int(k - take.sum())
+        return list(arr)
+    take = [a * k // total for a in arr]
+    deficit = k - sum(take)
     if deficit:
-        rem = prod - take * total
-        # Only slots with rem > 0 are eligible and there are always at
-        # least ``deficit`` of them; ceil never exceeds arr when k<total.
-        order = np.argsort(-rem, kind="stable")[:deficit]
-        take[order] += 1
+        # The remainders sum to ``deficit * total`` and each is below
+        # ``total``, so more than ``deficit`` of them are positive, and
+        # a ceiling never exceeds its slot when k < total. Python's
+        # sort is stable, so equal remainders keep slot order.
+        rem = [a * k % total for a in arr]
+        for slot in sorted(range(len(rem)), key=rem.__getitem__, reverse=True)[
+            :deficit
+        ]:
+            take[slot] += 1
     return take
+
+
+def split_sources(src_counts: np.ndarray, sections: List[int], total: int) -> list:
+    """Each section's share of a batch's source counts, as int64 arrays.
+
+    ``sections`` are item counts summing to ``total``, the sum of
+    ``src_counts``. Section by section, each takes its
+    :func:`proportional_take` of the sources the sections before it
+    left. A single-source batch needs no split.
+    """
+    if len(src_counts) == 1:
+        return [np.array([n], dtype=np.int64) for n in sections]
+    remaining = src_counts.tolist()
+    shares = []
+    for n in sections:
+        share = proportional_take(remaining, n, total)
+        remaining = [r - s for r, s in zip(remaining, share)]
+        total -= n
+        shares.append(np.array(share, dtype=np.int64))
+    return shares
+
+
+def _carve_slots(slots: np.ndarray, k: int, total: int):
+    """``(part, rest)``: the slot counts ``k`` of ``total`` items take
+    out of ``slots``, and what they leave behind."""
+    if k == total:
+        return slots, np.zeros(len(slots), dtype=np.int64)
+    part = np.array(proportional_take(slots.tolist(), k, total), dtype=np.int64)
+    return part, slots - part
 
 
 class ItemBuffer:
@@ -181,12 +215,10 @@ class CountBuffer:
         t_sum_part = self.t_sum * frac
         dst_part = None
         if self.dst_counts is not None:
-            dst_part = proportional_take(self.dst_counts, k, self.count)
-            self.dst_counts -= dst_part
+            dst_part, self.dst_counts = _carve_slots(self.dst_counts, k, self.count)
         src_part = None
         if self.src_counts is not None:
-            src_part = proportional_take(self.src_counts, k, self.count)
-            self.src_counts -= src_part
+            src_part, self.src_counts = _carve_slots(self.src_counts, k, self.count)
         batch = BulkBatch(
             count=k,
             dst_ids=self.dst_ids,

@@ -31,7 +31,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.network.message import NetMessage
 from repro.obs.spans import MsgSpan, NodeShardedStageLatency, StageLatency
-from repro.tram.buffer import CountBuffer, ItemBuffer, proportional_take
+from repro.tram.buffer import CountBuffer, ItemBuffer, split_sources
 from repro.tram.config import TramConfig
 from repro.tram.item import BulkBatch, Item, ItemBatch
 from repro.tram.stats import LatencyAggregate, NodeShardedLatency, TramStats
@@ -171,11 +171,18 @@ class SchemeBase:
         The item is delivered to ``deliver_item`` on the destination PE,
         eventually — when its buffer fills, or on a flush.
         """
+        proc_of = self.rt.proc_of_worker
+        if not 0 <= dst < len(proc_of):
+            # Checked here, where the id enters: past this point the
+            # runtime's tables index by it, and a negative index wraps.
+            raise ConfigError(
+                f"insert: destination worker {dst} out of range "
+                f"[0, {len(proc_of)})"
+            )
         src = ctx.worker.wid
         item = Item(dst, src, ctx.now, payload, priority)
         self.stats.items_inserted += 1
-        machine = self.rt.machine
-        if self.config.bypass_local and machine.same_process(src, dst):
+        if self.config.bypass_local and proc_of[src] == proc_of[dst]:
             self.stats.items_bypassed_local += 1
             ctx.charge(self.rt.costs.local_msg_ns)
             # ctx.now == item.created, so with observability on the whole
@@ -183,7 +190,7 @@ class SchemeBase:
             ctx.emit(self._post, dst, self._section_items_task, [item], ctx.now)
             return
         dead = self._dead_peers
-        if dead is not None and machine.process_of_worker(dst) in dead:
+        if dead is not None and proc_of[dst] in dead:
             # The final destination is confirmed dead: the item can never
             # be delivered. Count it at the insert site so the
             # conservation ledger closes without a wasted network trip.
@@ -197,8 +204,7 @@ class SchemeBase:
                 # CPU time instead of the pipeline growing queues.
                 ctx.charge(stall)
         if self._degraded is not None and (
-            machine.process_of_worker(src),
-            machine.process_of_worker(dst),
+            proc_of[src], proc_of[dst]
         ) in self._degraded:
             self._direct_fallback_item(ctx, item)
             return
@@ -210,27 +216,39 @@ class SchemeBase:
         Parameters
         ----------
         counts:
-            Integer array of length ``total_workers``: how many items go
-            to each destination worker. The array is consumed (copied
-            internally); items are timestamped at the task's start time.
+            Non-negative integer array with one entry per destination
+            worker (``total_workers`` of them): how many items go to
+            each. The array is consumed (copied internally); items are
+            timestamped at the task's start time.
         """
         src = ctx.worker.wid
         counts = np.asarray(counts, dtype=np.int64).copy()
+        n_workers = len(self.rt.proc_of_worker)
+        if counts.shape != (n_workers,):
+            raise ConfigError(
+                f"insert_bulk: counts has shape {counts.shape}, expected "
+                f"({n_workers},): one entry per destination worker"
+            )
+        low = int(counts.min())
+        if low < 0:
+            raise ConfigError(
+                f"insert_bulk: negative count {low} for destination worker "
+                f"{int(counts.argmin())}"
+            )
         total = int(counts.sum())
         if total == 0:
             return
         self.stats.items_inserted += total
-        machine = self.rt.machine
         if self.config.bypass_local:
-            own = machine.workers_of_process(machine.process_of_worker(src))
-            lo, hi = own.start, own.stop
+            lo = src - src % self._t
+            hi = lo + self._t
             local = counts[lo:hi]
             n_local = int(local.sum())
             if n_local:
                 now = ctx.now
-                for rank in np.nonzero(local)[0]:
-                    dst = lo + int(rank)
-                    n = int(local[rank])
+                for dst, n in enumerate(local.tolist(), lo):
+                    if not n:
+                        continue
                     ctx.charge(self.rt.costs.local_msg_ns)
                     ctx.emit(
                         self._post,
@@ -359,13 +377,14 @@ class SchemeBase:
         """Pour a bulk insert into one count buffer per destination
         process or node (``width`` workers each) of table ``bufs``;
         ``src_slot`` is the inserting worker's slot in a shared table."""
-        per_group = counts.reshape(-1, width).sum(axis=1)
+        per_group = counts.reshape(-1, width).sum(axis=1).tolist()
         now = ctx.now
-        for key in np.nonzero(per_group)[0]:
-            key = int(key)
+        for key, n in enumerate(per_group):
+            if not n:
+                continue
             buf = self._get(bufs, key, owner, item_mode=False)
             buf.add_counts(
-                int(per_group[key]),
+                n,
                 now,
                 dst_slot_counts=counts[key * width : (key + 1) * width],
                 src_slot=src_slot,
@@ -565,13 +584,13 @@ class SchemeBase:
 
     def _dead_peel_bulk(self, counts: np.ndarray) -> int:
         """Zero out bulk-insert slots addressed to dead processes."""
-        machine = self.rt.machine
+        proc_of = self.rt.proc_of_worker
         dead = self._dead_peers
         peeled = 0
-        for rank in np.nonzero(counts)[0]:
-            if machine.process_of_worker(int(rank)) in dead:
-                peeled += int(counts[rank])
-                counts[rank] = 0
+        for dst, n in enumerate(counts.tolist()):
+            if n and proc_of[dst] in dead:
+                peeled += n
+                counts[dst] = 0
         if peeled:
             self._note_dead_peer_drop(peeled)
         return peeled
@@ -601,7 +620,7 @@ class SchemeBase:
             ctx,
             ItemBatch([item]),
             1,
-            self.rt.machine.process_of_worker(item.dst),
+            self.rt.proc_of_worker[item.dst],
             item.dst,
             full=False,
         )
@@ -613,16 +632,16 @@ class SchemeBase:
         returns how many items were peeled off (``counts`` is zeroed in
         place for them).
         """
-        machine = self.rt.machine
-        src_pid = machine.process_of_worker(src)
+        proc_of = self.rt.proc_of_worker
+        src_pid = proc_of[src]
         now = ctx.now
         peeled = 0
-        for rank in np.nonzero(counts)[0]:
-            dst = int(rank)
-            dst_pid = machine.process_of_worker(dst)
+        for dst, n in enumerate(counts.tolist()):
+            if not n:
+                continue
+            dst_pid = proc_of[dst]
             if (src_pid, dst_pid) not in self._degraded:
                 continue
-            n = int(counts[rank])
             payload = BulkBatch(
                 count=n,
                 dst_ids=None,
@@ -634,7 +653,7 @@ class SchemeBase:
             )
             self.stats.direct_fallback_sends += n
             self._emit_message(ctx, payload, n, dst_pid, dst, full=False)
-            counts[rank] = 0
+            counts[dst] = 0
             peeled += n
         return peeled
 
@@ -798,21 +817,19 @@ class SchemeBase:
 
     def _fan_out_counts(self, ctx, batch: BulkBatch, src_ids, src_counts) -> None:
         """The count-mode :meth:`_fan_out_items`: one section per
-        destination slot of ``batch``, its sources split pro rata
-        (largest remainder) and its time moments by item share."""
+        non-empty destination slot of ``batch``, its sources split pro
+        rata (:func:`~repro.tram.buffer.split_sources`) and its time
+        moments by item share."""
         me = ctx.worker.wid
-        remaining_src = src_counts.copy()
-        remaining_total = batch.count
-        dst_ids = batch.dst_ids
-        dst_counts = batch.dst_counts
+        sections = [
+            (dst, n)
+            for dst, n in zip(batch.dst_ids.tolist(), batch.dst_counts.tolist())
+            if n
+        ]
+        shares = split_sources(src_counts, [n for _, n in sections], batch.count)
         mean_t = batch.t_sum / batch.count
         t_min = batch.t_min
-        for slot in np.nonzero(dst_counts)[0]:
-            dst = int(dst_ids[slot])
-            n = int(dst_counts[slot])
-            section_src = proportional_take(remaining_src, n, remaining_total)
-            remaining_src = remaining_src - section_src
-            remaining_total -= n
+        for (dst, n), section_src in zip(sections, shares):
             if dst == me:
                 self._deliver_bulk_here(
                     ctx, n, src_ids, section_src, n * mean_t, t_min

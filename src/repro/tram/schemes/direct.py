@@ -20,18 +20,17 @@ class DirectScheme(SchemeBase):
     name = "Direct"
 
     def _insert_item(self, ctx, src: int, item: Item) -> None:
-        dst_process = self.rt.machine.process_of_worker(item.dst)
+        dst_process = self.rt.proc_of_worker[item.dst]
         self._emit_message(
             ctx, ItemBatch([item]), 1, dst_process, item.dst, full=True
         )
 
     def _insert_bulk(self, ctx, src: int, counts: np.ndarray, total: int) -> None:
         now = ctx.now
-        machine = self.rt.machine
-        for dst in np.nonzero(counts)[0]:
-            dst = int(dst)
-            dst_process = machine.process_of_worker(dst)
-            for _ in range(int(counts[dst])):
+        proc_of = self.rt.proc_of_worker
+        for dst, n in enumerate(counts.tolist()):
+            dst_process = proc_of[dst]
+            for _ in range(n):
                 batch = BulkBatch(
                     count=1,
                     dst_ids=None,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.network.message import NetMessage
-from repro.tram.buffer import proportional_take
+from repro.tram.buffer import split_sources
 from repro.tram.item import BulkBatch, Item, ItemBatch
 from repro.tram.schemes.base import Buffer, SchemeBase, _sections_by_dst
 
@@ -137,26 +137,24 @@ class WNsScheme(SchemeBase):
                     )
             return
 
-        # Bulk: split per destination process, pro-rata on sources/time.
+        # Bulk: one section per destination process, its sources split
+        # pro rata and its time moments by item share.
         src_ids, src_counts = self._src_breakdown(msg, payload)
-        remaining_src = src_counts.copy()
-        remaining_total = payload.count
         mean_t = payload.t_sum / payload.count
         t = machine.workers_per_process
         node = machine.node_of_process(me_process)
+        counts = payload.dst_counts.tolist()
+        sections = []
         for i, pid in enumerate(machine.processes_of_node(node)):
-            lo = i * t
-            section = payload.dst_counts[lo : lo + t]
-            n = int(section.sum())
-            if n == 0:
-                continue
-            section_src = proportional_take(remaining_src, n, remaining_total)
-            remaining_src = remaining_src - section_src
-            remaining_total -= n
+            n = sum(counts[i * t : (i + 1) * t])
+            if n:
+                sections.append((i * t, pid, n))
+        shares = split_sources(src_counts, [n for *_, n in sections], payload.count)
+        for (lo, pid, n), section_src in zip(sections, shares):
             sub = BulkBatch(
                 count=n,
                 dst_ids=payload.dst_ids[lo : lo + t],
-                dst_counts=section.copy(),
+                dst_counts=payload.dst_counts[lo : lo + t].copy(),
                 src_ids=src_ids,
                 src_counts=section_src,
                 t_sum=n * mean_t,

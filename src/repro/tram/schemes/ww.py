@@ -40,8 +40,9 @@ class WWScheme(SchemeBase):
         )
         bufs = self._tables[src]
         now = ctx.now
-        for dst in np.nonzero(counts)[0]:
-            dst = int(dst)
+        for dst, n in enumerate(counts.tolist()):
+            if not n:
+                continue
             buf = self._get(bufs, dst, src, item_mode=False)
-            buf.add_counts(int(counts[dst]), now)
+            buf.add_counts(n, now)
             self._drain_full(ctx, buf)

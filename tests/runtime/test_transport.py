@@ -145,7 +145,8 @@ class TestStatsAndErrors:
         with pytest.raises(DeliveryError):
             rt.run()
 
-    @pytest.mark.parametrize("bad_worker", [-1, 10_000])
+    # 7 exists but lives in process 3, on the other node.
+    @pytest.mark.parametrize("bad_worker", [-1, 10_000, 7])
     def test_bad_destination_worker(self, make_rt, bad_worker):
         rt = make_rt()
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.tram.buffer import CountBuffer, ItemBuffer, proportional_take
+from repro.tram.buffer import (
+    CountBuffer,
+    ItemBuffer,
+    proportional_take,
+    split_sources,
+)
 from repro.tram.item import Item
 
 
@@ -14,37 +19,47 @@ def item(dst=0, src=1, t=0.0):
 
 class TestProportionalTake:
     def test_exact_fractions(self):
-        arr = np.array([10, 20, 30], dtype=np.int64)
-        take = proportional_take(arr, 30, 60)
-        assert list(take) == [5, 10, 15]
+        assert proportional_take([10, 20, 30], 30, 60) == [5, 10, 15]
 
     def test_sum_invariant_with_remainders(self):
-        arr = np.array([7, 11, 3, 19], dtype=np.int64)
-        take = proportional_take(arr, 13, int(arr.sum()))
-        assert take.sum() == 13
-        assert (take >= 0).all()
-        assert (take <= arr).all()
+        arr = [7, 11, 3, 19]
+        take = proportional_take(arr, 13, sum(arr))
+        assert sum(take) == 13
+        assert all(0 <= t <= a for t, a in zip(take, arr))
 
     def test_take_all(self):
-        arr = np.array([4, 0, 6], dtype=np.int64)
-        take = proportional_take(arr, 10, 10)
-        assert list(take) == [4, 0, 6]
+        assert proportional_take([4, 0, 6], 10, 10) == [4, 0, 6]
 
     def test_take_more_than_total_rejected(self):
         with pytest.raises(SimulationError):
-            proportional_take(np.array([1, 2]), 5, 3)
+            proportional_take([1, 2], 5, 3)
 
     def test_deterministic(self):
-        arr = np.array([5, 5, 5], dtype=np.int64)
-        a = proportional_take(arr.copy(), 7, 15)
-        b = proportional_take(arr.copy(), 7, 15)
-        assert list(a) == list(b)
+        assert proportional_take([5, 5, 5], 7, 15) == proportional_take(
+            [5, 5, 5], 7, 15
+        )
+
+    def test_tied_remainders_go_to_lowest_slot(self):
+        assert proportional_take([5, 5, 5], 7, 15) == [3, 2, 2]
+        assert proportional_take([1, 2, 1, 2], 3, 6) == [1, 1, 0, 1]
 
     def test_zero_slots_untouched(self):
-        arr = np.array([0, 10, 0, 10], dtype=np.int64)
-        take = proportional_take(arr, 11, 20)
+        take = proportional_take([0, 10, 0, 10], 11, 20)
         assert take[0] == 0 and take[2] == 0
-        assert take.sum() == 11
+        assert sum(take) == 11
+
+
+class TestSplitSources:
+    def test_single_source_needs_no_split(self):
+        shares = split_sources(np.array([9]), [2, 3, 4], 9)
+        assert [s.tolist() for s in shares] == [[2], [3], [4]]
+        assert all(s.dtype == np.int64 for s in shares)
+
+    def test_sections_take_from_what_is_left(self):
+        shares = split_sources(np.array([3, 3]), [3, 3], 6)
+        # The first section's tie goes to source 0, so the second
+        # section gets the leftover of source 1.
+        assert [s.tolist() for s in shares] == [[2, 1], [1, 2]]
 
 
 class TestItemBuffer:

@@ -188,6 +188,68 @@ class TestCallbacks:
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+class TestInsertBoundary:
+    """Ids and counts are checked where they enter TramLib: past the
+    insert call the runtime indexes its tables by them, where a negative
+    id would wrap silently."""
+
+    def _refusals(self, scheme, insert, **machine):
+        errors = []
+        rt, tram = build(
+            scheme, deliver_item=lambda c, i: None,
+            deliver_bulk=(
+                None if scheme == "R2D" else lambda c, w, n, si, sc: None
+            ),
+            **machine,
+        )
+
+        def driver(ctx):
+            try:
+                insert(tram, ctx, rt.machine.total_workers)
+            except ConfigError as e:
+                errors.append(str(e))
+
+        rt.post(0, driver)
+        rt.run(max_events=10_000)
+        assert tram.stats.items_inserted == 0
+        assert rt.transport.stats.total_messages == 0
+        return errors
+
+    @pytest.mark.parametrize("dst", [-1, 8])  # 8 == total_workers
+    def test_insert_destination_out_of_range(self, scheme, dst):
+        def insert(tram, ctx, W):
+            tram.insert(ctx, dst=dst)
+
+        errors = self._refusals(scheme, insert)
+        assert len(errors) == 1
+        assert "out of range [0, 8)" in errors[0]
+
+    def test_insert_bulk_short_counts(self, scheme):
+        """On a 2x1x4 machine, 4 entries used to land on process 0."""
+        if scheme == "R2D":
+            pytest.skip("R2D is per-item only")
+
+        def insert(tram, ctx, W):
+            tram.insert_bulk(ctx, np.ones(W // 2, dtype=np.int64))
+
+        errors = self._refusals(scheme, insert, nodes=2, ppn=1, wpp=4)
+        assert len(errors) == 1
+        assert "one entry per destination worker" in errors[0]
+
+    def test_insert_bulk_negative_count(self, scheme):
+        if scheme == "R2D":
+            pytest.skip("R2D is per-item only")
+
+        def insert(tram, ctx, W):
+            counts = np.full(W, 3, dtype=np.int64)
+            counts[W - 1] = -2
+            tram.insert_bulk(ctx, counts)
+
+        errors = self._refusals(scheme, insert)
+        assert errors == ["insert_bulk: negative count -2 for destination worker 7"]
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
 @pytest.mark.parametrize("mode", ["item", "bulk"])
 class TestTransportAgreement:
     def test_counters_match_transport(self, scheme, mode):
